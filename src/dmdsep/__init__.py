@@ -41,7 +41,6 @@ from .linalg import (
     SvdResult,
     eig_nonsymmetric,
     eig_symmetric,
-    inv_sqrt_spd,
     pinv,
     svd,
     truncated_svd,
@@ -96,7 +95,6 @@ __all__ = [
     "gen_arma",
     "gen_changepoint_suite",
     "gen_cosines",
-    "inv_sqrt_spd",
     "lag_cov",
     "left_vectors",
     "make_lag_pair",

@@ -91,8 +91,7 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     X = data.T.copy()  # internal orientation: channels x time
     if fill_missing and missing.any():
         X[np.isnan(X)] = 0.0
-        ts = linalg.truncated_svd(X, k)
-        X = (ts.U * ts.sigma) @ ts.V.T
+        X = dmd.fill_in(X, k)
     fac = dmd.dmf(X, tau, k)
     C = fac.C_hat
     if np.iscomplexobj(C):
@@ -118,17 +117,30 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     return sources_path, mixing_path, eig_path
 
 
+def _list_of(kind):
+    return lambda raw: tuple(kind(v) for v in raw.split(",") if v.strip())
+
+
+# config-file key -> (value parser, ExperimentConfig field, experiment flag);
+# flags take raw strings and go through the same parsers as file values
 _CONFIG_KEYS = {
-    "suite": str,
-    "p": int,
-    "k": int,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "n_grid": "int_list",
-    "tau_list": "int_list",
-    "q_grid": "float_list",
+    "suite": (str, "suite", None),
+    "p": (int, "p", "--p"),
+    "k": (int, "k", "--k"),
+    "trials": (int, "trials", "--trials"),
+    "seed": (int, "seed", "--seed"),
+    "out": (str, "out_path", "--out"),
+    "n_grid": (_list_of(int), "n_grid", "--n-grid"),
+    "tau_list": (_list_of(int), "tau_list", "--tau"),
+    "q_grid": (_list_of(float), "q_grid", "--q-grid"),
 }
+
+
+def _parse_value(key, raw, where):
+    try:
+        return _CONFIG_KEYS[key][0](raw)
+    except ValueError:
+        raise ValueError(f"{where}: cannot parse {raw!r} for key {key!r}") from None
 
 
 def load_config_file(path):
@@ -144,29 +156,8 @@ def load_config_file(path):
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            try:
-                if kind is str:
-                    values[key] = raw
-                elif kind is int:
-                    values[key] = int(raw)
-                elif kind == "int_list":
-                    values[key] = tuple(int(v) for v in raw.split(",") if v.strip())
-                elif kind == "float_list":
-                    values[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {line_no}: cannot parse {raw!r} for key {key!r}"
-                ) from None
+            values[key] = _parse_value(key, raw, f"{path} line {line_no}")
     return values
-
-
-def _int_list(raw):
-    return tuple(int(v) for v in raw.split(","))
-
-
-def _float_list(raw):
-    return tuple(float(v) for v in raw.split(","))
 
 
 def build_parser():
@@ -179,14 +170,9 @@ def build_parser():
     exp = sub.add_parser("experiment", help="run a simulation suite")
     exp.add_argument("suite", nargs="?", choices=SUITES)
     exp.add_argument("--config", help="key = value config file")
-    exp.add_argument("--n-grid", type=_int_list)
-    exp.add_argument("--q-grid", type=_float_list)
-    exp.add_argument("--tau", type=_int_list, help="comma-separated lag list")
-    exp.add_argument("--trials", type=int)
-    exp.add_argument("--seed", type=int)
-    exp.add_argument("--p", type=int)
-    exp.add_argument("--k", type=int)
-    exp.add_argument("--out", help="records CSV path")
+    for key, (_, _, flag) in _CONFIG_KEYS.items():
+        if flag:
+            exp.add_argument(flag, dest=key, help=f"overrides config key {key}")
 
     unm = sub.add_parser("unmix", help="unmix a time-major CSV")
     unm.add_argument("input")
@@ -202,24 +188,16 @@ def build_parser():
 
 
 def _experiment_config(args):
-    file_values = load_config_file(args.config) if args.config else {}
-    suite = args.suite or file_values.get("suite")
-    if not suite:
+    values = load_config_file(args.config) if args.config else {}
+    for key, (_, _, flag) in _CONFIG_KEYS.items():
+        raw = getattr(args, key)
+        if raw is not None:
+            values[key] = _parse_value(key, raw, flag or key)
+    if not values.get("suite"):
         raise ValueError("suite is required (positional argument or config file)")
-    cfg = default_config(suite)
-    overrides = {
-        "n_grid": args.n_grid if args.n_grid else file_values.get("n_grid"),
-        "q_grid": args.q_grid if args.q_grid else file_values.get("q_grid"),
-        "tau_list": args.tau if args.tau else file_values.get("tau_list"),
-        "trials": args.trials if args.trials is not None else file_values.get("trials"),
-        "seed": args.seed if args.seed is not None else file_values.get("seed"),
-        "p": args.p if args.p is not None else file_values.get("p"),
-        "k": args.k if args.k is not None else file_values.get("k"),
-        "out_path": args.out if args.out else file_values.get("out"),
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
+    cfg = default_config(values["suite"])
+    for key, value in values.items():
+        setattr(cfg, _CONFIG_KEYS[key][1], value)
     return cfg.validate()
 
 

@@ -164,29 +164,21 @@ def tsvd_dmd_fit(X_masked, q, tau, k, dense_threshold=2000):
     if not 0.0 < q <= 1.0:
         raise ValueError(f"observation probability q={q} outside (0, 1]")
     X_masked = np.asarray(X_masked, dtype=float)
-    if q == 1.0:
-        fit = dmd_fit(X_masked, tau, k, dense_threshold=dense_threshold)
-    else:
-        ts = linalg.truncated_svd(X_masked, k)
-        filled = (ts.U * ts.sigma) @ ts.V.T
-        fit = dmd_fit(filled, tau, k, dense_threshold=dense_threshold)
+    X = X_masked if q == 1.0 else fill_in(X_masked, k)
+    fit = dmd_fit(X, tau, k, dense_threshold=dense_threshold)
     fit.observed_q = q
     return fit
 
 
-def _pinv_any(M, rel_tol=1e-12):
-    """Pseudoinverse with the package rank-cutoff convention, complex-safe."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0) * max(M.shape)
-    keep = s > cutoff
-    if not np.any(keep):
-        return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
-    return (Vt[keep].conj().T / s[keep]) @ U[:, keep].conj().T
+def fill_in(X_zeroed, k):
+    """Rank-``k`` truncated-SVD surrogate of data whose missing entries are zero."""
+    ts = linalg.truncated_svd(X_zeroed, k)
+    return (ts.U * ts.sigma) @ ts.V.T
 
 
 def left_vectors(Q_hat):
     """Rows of pinv(Q_hat): the matched left eigenvectors used for unmixing."""
-    return _pinv_any(np.asarray(Q_hat))
+    return linalg.pinv(Q_hat)
 
 
 def recover_signals(X, left_vecs, imag_tol=1e-6):
@@ -246,7 +238,7 @@ def dmf(X, tau, k, dense_threshold=2000):
     Q_hat = fit.eig.vectors
     if np.all(fit.eig.values.imag == 0.0):
         Q_hat = Q_hat.real
-    W = _pinv_any(Q_hat)
+    W = linalg.pinv(Q_hat)
     coords_mean = W @ mu
     C_hat = (np.outer(coords_mean, np.ones(n)) + W @ Xbar).T
     mean_residual = float(np.linalg.norm(mu - Q_hat @ coords_mean))

@@ -4,7 +4,9 @@ Each suite regenerates one of the reference experiments: noiseless cosine
 mixtures across sample sizes, AR(2) mixtures compared across lags,
 Bernoulli-masked data with and without the truncated-SVD fill-in, the
 AMUSE head-to-head, the changepoint composite, and the deterministic
-eigenwalker example.
+eigenwalker example.  ``SUITE_TABLE`` holds one row per suite (its cell
+generator, methods, fixed shape and defaults); :func:`run_experiment` is
+the single loop that fits and scores every row.
 
 Seed scheme (reproducible across runs and ports): every random draw uses
 a Philox stream whose seed is ``master_seed XOR blake2b-64(tag)`` where
@@ -14,6 +16,7 @@ may depend on.  Mixing matrices depend only on the trial index, never on
 n or q, so grid cells within a trial are paired.
 """
 
+import contextlib
 import hashlib
 import time
 import warnings
@@ -22,16 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import baselines, dmd, lagstats, metrics, signals
-
-SUITES = (
-    "cosine",
-    "arma",
-    "missing-q",
-    "missing-n",
-    "amuse-compare",
-    "changepoint",
-    "eigenwalker",
-)
 
 EIGENWALKER_Q = np.array(
     [[1.0 / 3.0, 2.0 / np.sqrt(5.0)], [2.0 / 3.0, 1.0 / np.sqrt(5.0)], [2.0 / 3.0, 0.0]]
@@ -68,6 +61,7 @@ class ExperimentConfig:
     def validate(self):
         if self.suite not in SUITES:
             raise ValueError(f"suite must be one of {SUITES}, got {self.suite!r}")
+        row = SUITE_TABLE[self.suite]
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
         if not self.q_grid:
@@ -78,8 +72,10 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if row.p is not None and self.p != row.p:
+            raise ValueError(f"p must be {row.p} for suite {self.suite}, got {self.p}")
+        if self.k != row.k:
+            raise ValueError(f"k must be {row.k} for suite {self.suite}, got {self.k}")
         for q in self.q_grid:
             if not 0.0 < q <= 1.0:
                 raise ValueError(f"q_grid entries must lie in (0, 1], got {q}")
@@ -110,36 +106,12 @@ RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 def default_config(suite):
     """Desk-scale defaults preserving each reference experiment's claims."""
-    presets = {
-        "cosine": dict(
-            n_grid=(500, 1000, 2000, 4000, 8000, 16000), p=100, k=2, trials=1
-        ),
-        "arma": dict(
-            n_grid=(1000, 3162, 10000, 31623, 100000),
-            p=100,
-            k=2,
-            tau_list=(1, 2),
-            trials=50,
-        ),
-        "missing-q": dict(
-            n_grid=(10000,),
-            p=500,
-            k=2,
-            q_grid=(0.05, 0.1, 0.2, 0.35, 0.5),
-            trials=10,
-        ),
-        "missing-n": dict(
-            n_grid=(2500, 5000, 10000, 20000), p=500, k=2, q_grid=(0.1,), trials=10
-        ),
-        "amuse-compare": dict(
-            n_grid=(1000, 2000, 4000, 8000, 16000), p=500, k=2, trials=10
-        ),
-        "changepoint": dict(n_grid=(1000,), p=4, k=4, trials=1, seed=1),
-        "eigenwalker": dict(n_grid=(1000,), p=3, k=2, trials=1),
-    }
-    if suite not in presets:
+    if suite not in SUITE_TABLE:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
-    return ExperimentConfig(suite=suite, **presets[suite]).validate()
+    row = SUITE_TABLE[suite]
+    cfg = ExperimentConfig(suite=suite, k=row.k, **row.preset)
+    cfg.p = row.p or cfg.p
+    return cfg.validate()
 
 
 def derive_seed(master_seed, *parts):
@@ -149,67 +121,22 @@ def derive_seed(master_seed, *parts):
     return (int(master_seed) ^ h) & 0xFFFFFFFFFFFFFFFF
 
 
-def _score(fit, X_seen, model):
-    """Aligned squared errors of a propagator fit against the ground truth.
-
-    Eigenvalues are scored against the diagonal of the circular lag-tau
-    covariance of the true unit signals (the quantity they estimate);
-    signals are recovered from the data the estimator actually saw.
-    """
-    align = metrics.align_columns(fit.eig.vectors, model.Q)
-    truth_eigs = np.diag(lagstats.lag_cov(model.S, fit.tau).L)
-    eig_err = float(np.sum(metrics.eig_error(fit.eig.values, truth_eigs, align.perm)))
-    S_hat = dmd.recover_signals(X_seen, dmd.left_vectors(fit.eig.vectors))
-    s_err = metrics.s_error(S_hat, model.S)
-    return align.total_sq_error, s_err, eig_err
-
-
-def _unmix_score(result, model):
-    """Same scoring for baseline UnmixResult objects (no eigenvalues)."""
-    align = metrics.align_columns(result.Q_hat.astype(complex), model.Q)
-    s_err = metrics.s_error(result.S_hat, model.S)
-    return align.total_sq_error, s_err, float("nan")
-
-
-def _record(cfg, n, tau, q, trial, method, scores, t0):
-    q_err, s_err, e_err = scores
-    return ExperimentRecord(
-        suite=cfg.suite,
-        n=n,
-        p=cfg.p,
-        k=cfg.k,
-        tau=tau,
-        q=q,
-        trial=trial,
-        method=method,
-        q_sq_error=q_err,
-        s_sq_error=s_err,
-        eig_sq_error=e_err,
-        wall_ms=int(round((time.perf_counter() - t0) * 1000.0)),
-    )
-
-
 def _trial_mixing(cfg, trial):
     seed = derive_seed(cfg.seed, cfg.suite, "model", cfg.p, cfg.k, trial)
     return signals.random_unit_columns(cfg.p, cfg.k, seed)
 
 
-def _run_cosine(cfg):
-    records = []
-    pairs = ((0.25, 0.5), (0.25, 2.0))
-    for pair in pairs:
-        spec = signals.CosineSpec(omegas=pair)
-        method = f"dmd(w2={pair[1]})"
+def _cosine_model(cfg, n, trial, omegas, d):
+    spec = signals.CosineSpec(omegas=omegas)
+    return signals.assemble(_trial_mixing(cfg, trial), d, signals.gen_cosines(spec, n))
+
+
+def _cosine_cells(cfg):
+    for w2 in (0.5, 2.0):
         for n in cfg.n_grid:
             for trial in range(cfg.trials):
-                Q = _trial_mixing(cfg, trial)
-                model = signals.assemble(Q, np.ones(cfg.k), signals.gen_cosines(spec, n))
-                for tau in cfg.tau_list:
-                    t0 = time.perf_counter()
-                    fit = dmd.dmd_fit(model.X, tau, cfg.k)
-                    scores = _score(fit, model.X, model)
-                    records.append(_record(cfg, n, tau, 1.0, trial, method, scores, t0))
-    return records
+                model = _cosine_model(cfg, n, trial, (0.25, w2), np.ones(cfg.k))
+                yield n, 1.0, trial, model, model.X, f"(w2={w2})"
 
 
 ARMA_SUITE_SPECS = (
@@ -218,80 +145,35 @@ ARMA_SUITE_SPECS = (
 )
 
 
-def _run_arma(cfg):
-    records = []
-    with warnings.catch_warnings():
-        # near-tied lag-1 autocorrelations occasionally collide into a
-        # complex pair at small n; the trial's large error is the diagnostic
-        warnings.simplefilter("ignore")
-        for n in cfg.n_grid:
-            for trial in range(cfg.trials):
-                Q = _trial_mixing(cfg, trial)
-                cols = [
-                    signals.gen_arma(
-                        spec, n, derive_seed(cfg.seed, cfg.suite, "signal", i, n, trial)
-                    )
-                    for i, spec in enumerate(ARMA_SUITE_SPECS)
-                ]
-                model = signals.assemble(Q, np.ones(cfg.k), np.column_stack(cols))
-                for tau in cfg.tau_list:
-                    t0 = time.perf_counter()
-                    fit = dmd.dmd_fit(model.X, tau, cfg.k)
-                    scores = _score(fit, model.X, model)
-                    records.append(_record(cfg, n, tau, 1.0, trial, "dmd", scores, t0))
-    return records
-
-
-def _masked_model(cfg, n, q, trial):
-    Q = _trial_mixing(cfg, trial)
-    spec = signals.CosineSpec(omegas=(0.25, 2.0))
-    model = signals.assemble(Q, np.array([2.0, 1.0]), signals.gen_cosines(spec, n))
-    mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
-    X_masked = signals.apply_mask(model.X, signals.MaskSpec(q=q, seed=mask_seed))
-    return model, X_masked
-
-
-def _run_missing(cfg):
-    records = []
-    with warnings.catch_warnings():
-        # plain DMD on heavily masked data legitimately produces complex
-        # junk modes; the recorded errors are the diagnostic
-        warnings.simplefilter("ignore")
-        for n in cfg.n_grid:
-            for q in cfg.q_grid:
-                for trial in range(cfg.trials):
-                    model, X_masked = _masked_model(cfg, n, q, trial)
-                    for tau in cfg.tau_list:
-                        t0 = time.perf_counter()
-                        fit = dmd.tsvd_dmd_fit(X_masked, q, tau, cfg.k)
-                        scores = _score(fit, X_masked, model)
-                        records.append(
-                            _record(cfg, n, tau, q, trial, "tsvd-dmd", scores, t0)
-                        )
-                        t0 = time.perf_counter()
-                        fit = dmd.dmd_fit(X_masked, tau, cfg.k)
-                        scores = _score(fit, X_masked, model)
-                        records.append(_record(cfg, n, tau, q, trial, "dmd", scores, t0))
-    return records
-
-
-def _run_amuse_compare(cfg):
-    records = []
-    spec = signals.CosineSpec(omegas=(0.25, 2.0))
+def _arma_cells(cfg):
     for n in cfg.n_grid:
         for trial in range(cfg.trials):
             Q = _trial_mixing(cfg, trial)
-            model = signals.assemble(Q, np.array([2.0, 1.0]), signals.gen_cosines(spec, n))
-            for tau in cfg.tau_list:
-                t0 = time.perf_counter()
-                fit = dmd.dmd_fit(model.X, tau, cfg.k)
-                scores = _score(fit, model.X, model)
-                records.append(_record(cfg, n, tau, 1.0, trial, "dmd", scores, t0))
-                t0 = time.perf_counter()
-                res = baselines.amuse(model.X, tau, cfg.k)
-                scores = _unmix_score(res, model)
-                records.append(_record(cfg, n, tau, 1.0, trial, "amuse", scores, t0))
-    return records
+            cols = [
+                signals.gen_arma(
+                    spec, n, derive_seed(cfg.seed, cfg.suite, "signal", i, n, trial)
+                )
+                for i, spec in enumerate(ARMA_SUITE_SPECS)
+            ]
+            model = signals.assemble(Q, np.ones(cfg.k), np.column_stack(cols))
+            yield n, 1.0, trial, model, model.X, ""
+
+
+def _masked_cells(cfg):
+    for n in cfg.n_grid:
+        for q in cfg.q_grid:
+            for trial in range(cfg.trials):
+                model = _cosine_model(cfg, n, trial, (0.25, 2.0), np.array([2.0, 1.0]))
+                mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
+                X = signals.apply_mask(model.X, signals.MaskSpec(q=q, seed=mask_seed))
+                yield n, q, trial, model, X, ""
+
+
+def _amuse_cells(cfg):
+    for n in cfg.n_grid:
+        for trial in range(cfg.trials):
+            model = _cosine_model(cfg, n, trial, (0.25, 2.0), np.array([2.0, 1.0]))
+            yield n, 1.0, trial, model, model.X, ""
 
 
 def changepoint_model(n, seed):
@@ -309,25 +191,12 @@ def changepoint_model(n, seed):
     return model, zero_masks[:, order]
 
 
-def _run_changepoint(cfg):
-    records = []
-    n = cfg.n_grid[0]
-    for trial in range(cfg.trials):
-        sig_seed = derive_seed(cfg.seed, cfg.suite, "signal", n, trial)
-        model, _ = changepoint_model(n, sig_seed)
-        for tau in cfg.tau_list:
-            t0 = time.perf_counter()
-            fac = dmd.dmf(model.X, tau, cfg.k)
-            align = metrics.align_columns(fac.Q_hat.astype(complex), model.Q)
-            truth_eigs = np.diag(lagstats.lag_cov(model.S, tau).L)
-            eig_err = float(np.sum(metrics.eig_error(fac.eigvals, truth_eigs, align.perm)))
-            C = fac.C_hat.real
-            C = C - C.mean(axis=0)
-            S_hat = C / np.linalg.norm(C, axis=0)
-            s_err = metrics.s_error(S_hat, model.S)
-            scores = (align.total_sq_error, s_err, eig_err)
-            records.append(_record(cfg, n, tau, 1.0, trial, "dmf", scores, t0))
-    return records
+def _changepoint_cells(cfg):
+    for n in cfg.n_grid:
+        for trial in range(cfg.trials):
+            sig_seed = derive_seed(cfg.seed, cfg.suite, "signal", n, trial)
+            model, _ = changepoint_model(n, sig_seed)
+            yield n, 1.0, trial, model, model.X, ""
 
 
 def eigenwalker_model(n=1000):
@@ -336,32 +205,129 @@ def eigenwalker_model(n=1000):
     return signals.assemble(EIGENWALKER_Q, np.ones(2), signals.gen_cosines(spec, n))
 
 
-def _run_eigenwalker(cfg):
-    records = []
-    n = cfg.n_grid[0]
-    model = eigenwalker_model(n)
-    for trial in range(cfg.trials):
-        for tau in cfg.tau_list:
-            t0 = time.perf_counter()
-            fit = dmd.dmd_fit(model.X, tau, 2)
-            scores = _score(fit, model.X, model)
-            records.append(_record(cfg, n, tau, 1.0, trial, "dmd", scores, t0))
-            t0 = time.perf_counter()
-            res = baselines.pca_unmix(model.X, 2)
-            scores = _unmix_score(res, model)
-            records.append(_record(cfg, n, tau, 1.0, trial, "pca", scores, t0))
-    return records
+def _eigenwalker_cells(cfg):
+    for n in cfg.n_grid:
+        model = eigenwalker_model(n)
+        for trial in range(cfg.trials):
+            yield n, 1.0, trial, model, model.X, ""
 
 
-_RUNNERS = {
-    "cosine": _run_cosine,
-    "arma": _run_arma,
-    "missing-q": _run_missing,
-    "missing-n": _run_missing,
-    "amuse-compare": _run_amuse_compare,
-    "changepoint": _run_changepoint,
-    "eigenwalker": _run_eigenwalker,
+def _propagator_modes(fit, X):
+    """Modes, eigenvalues and the unit signals recovered from the data the
+    fit saw (masked data for the missing-data suites)."""
+    vectors = fit.eig.vectors
+    return vectors, fit.eig.values, dmd.recover_signals(X, dmd.left_vectors(vectors))
+
+
+def _dmf_modes(X, tau, k):
+    fac = dmd.dmf(X, tau, k)
+    C = fac.C_hat.real
+    C = C - C.mean(axis=0)
+    return fac.Q_hat, fac.eigvals, C / np.linalg.norm(C, axis=0)
+
+
+def _unmixed(result):
+    return result.Q_hat, None, result.S_hat
+
+
+# method -> fit(X, q, tau, k) giving (modes, eigenvalues or None, unit signals)
+_METHODS = {
+    "dmd": lambda X, q, tau, k: _propagator_modes(dmd.dmd_fit(X, tau, k), X),
+    "tsvd-dmd": lambda X, q, tau, k: _propagator_modes(
+        dmd.tsvd_dmd_fit(X, q, tau, k), X
+    ),
+    "dmf": lambda X, q, tau, k: _dmf_modes(X, tau, k),
+    "amuse": lambda X, q, tau, k: _unmixed(baselines.amuse(X, tau, k)),
+    "pca": lambda X, q, tau, k: _unmixed(baselines.pca_unmix(X, k)),
 }
+
+
+def _score(model, tau, vectors, eigvals, S_hat):
+    """Aligned squared errors of one estimate against the ground truth.
+
+    Eigenvalues, where the method has them, are scored against the
+    diagonal of the circular lag-tau covariance of the true unit signals
+    (the quantity they estimate); methods without them score NaN.
+    """
+    align = metrics.align_columns(vectors.astype(complex), model.Q)
+    s_err = metrics.s_error(S_hat, model.S)
+    if eigvals is None:
+        return align.total_sq_error, s_err, float("nan")
+    truth_eigs = np.diag(lagstats.lag_cov(model.S, tau).L)
+    eig_err = float(np.sum(metrics.eig_error(eigvals, truth_eigs, align.perm)))
+    return align.total_sq_error, s_err, eig_err
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table.
+
+    ``cells(cfg)`` yields ``(n, q, trial, model, X_seen, tag)`` in record
+    order; each cell is fitted at every lag by each of ``methods``, and
+    ``tag`` is appended to the method names.  The models have ``k`` sources
+    and, where ``p`` is set, that many channels.  ``preset`` holds the
+    other desk-scale defaults; ``quiet`` silences warnings for the run.
+    """
+
+    cells: object
+    methods: tuple
+    k: int
+    preset: dict
+    p: int = None
+    quiet: bool = False
+
+
+SUITE_TABLE = {
+    "cosine": Suite(
+        _cosine_cells, ("dmd",), 2, dict(n_grid=(500, 1000, 2000, 4000, 8000, 16000))
+    ),
+    # near-tied lag-1 autocorrelations occasionally collide into a complex
+    # pair at small n; the trial's large error is the diagnostic
+    "arma": Suite(
+        _arma_cells,
+        ("dmd",),
+        2,
+        dict(n_grid=(1000, 3162, 10000, 31623, 100000), tau_list=(1, 2), trials=50),
+        quiet=True,
+    ),
+    # plain DMD on heavily masked data legitimately produces complex junk
+    # modes; the recorded errors are the diagnostic
+    "missing-q": Suite(
+        _masked_cells,
+        ("tsvd-dmd", "dmd"),
+        2,
+        dict(n_grid=(10000,), p=500, q_grid=(0.05, 0.1, 0.2, 0.35, 0.5), trials=10),
+        quiet=True,
+    ),
+    "missing-n": Suite(
+        _masked_cells,
+        ("tsvd-dmd", "dmd"),
+        2,
+        dict(n_grid=(2500, 5000, 10000, 20000), p=500, q_grid=(0.1,), trials=10),
+        quiet=True,
+    ),
+    "amuse-compare": Suite(
+        _amuse_cells,
+        ("dmd", "amuse"),
+        2,
+        dict(n_grid=(1000, 2000, 4000, 8000, 16000), p=500, trials=10),
+    ),
+    "changepoint": Suite(
+        _changepoint_cells, ("dmf",), 4, dict(n_grid=(1000,), seed=1), p=4
+    ),
+    "eigenwalker": Suite(
+        _eigenwalker_cells, ("dmd", "pca"), 2, dict(n_grid=(1000,)), p=3
+    ),
+}
+
+SUITES = tuple(SUITE_TABLE)
+
+
+@contextlib.contextmanager
+def _warnings_silenced():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        yield
 
 
 def run_experiment(cfg):
@@ -369,10 +335,25 @@ def run_experiment(cfg):
 
     Writes the records as CSV when ``cfg.out_path`` is set.  All
     randomness is derived from ``cfg.seed`` via :func:`derive_seed`, so
-    identical configs produce identical error fields.
+    identical configs produce identical error fields.  ``wall_ms`` spans
+    one method's fit and its scoring.
     """
     cfg.validate()
-    records = _RUNNERS[cfg.suite](cfg)
+    row = SUITE_TABLE[cfg.suite]
+    records = []
+    with _warnings_silenced() if row.quiet else contextlib.nullcontext():
+        for n, q, trial, model, X, tag in row.cells(cfg):
+            for tau in cfg.tau_list:
+                for method in row.methods:
+                    t0 = time.perf_counter()
+                    scores = _score(model, tau, *_METHODS[method](X, q, tau, cfg.k))
+                    wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
+                    records.append(
+                        ExperimentRecord(
+                            cfg.suite, n, cfg.p, cfg.k, tau, q, trial, method + tag,
+                            *scores, wall_ms,
+                        )
+                    )
     if cfg.out_path:
         write_records(records, cfg.out_path)
     return records
@@ -396,25 +377,28 @@ def write_records(records, path):
 def read_records(path):
     """Read a records CSV written by :func:`write_records`."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"records file {path} is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header != list(RECORD_FIELDS):
         missing = set(RECORD_FIELDS) - set(header)
         raise ValueError(f"records file {path} missing columns {sorted(missing)}")
     records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        kw = {}
-        for name, raw in zip(header, parts):
-            if name in ("suite", "method"):
-                kw[name] = raw
-            elif name in ("n", "p", "k", "tau", "trial", "wall_ms"):
-                kw[name] = int(raw)
-            else:
-                kw[name] = float(raw)
-        records.append(ExperimentRecord(**kw))
+    for line_no, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(RECORD_FIELDS):
+            raise ValueError(
+                f"records file {path} line {line_no}: expected "
+                f"{len(RECORD_FIELDS)} cells, found {len(cells)}"
+            )
+        try:
+            values = [f.type(raw) for f, raw in zip(fields(ExperimentRecord), cells)]
+        except ValueError:
+            raise ValueError(
+                f"records file {path} line {line_no}: cannot parse {line!r}"
+            ) from None
+        records.append(ExperimentRecord(*values))
     return records
 
 

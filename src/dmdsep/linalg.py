@@ -16,12 +16,12 @@ class NumericalError(RuntimeError):
     """An iterative factorization failed to converge."""
 
 
-def _as_matrix(A, name="A"):
-    A = np.asarray(A, dtype=float)
+def _as_matrix(A, dtype=float):
+    A = np.asarray(A, dtype=dtype)
     if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
+        raise ValueError(f"A must be 2-D, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("A contains non-finite entries")
     return A
 
 
@@ -63,19 +63,23 @@ def svd(A, rel_tol=1e-12):
 
     Parameters
     ----------
-    A : (p, n) array
+    A : (p, n) array, real or complex
     rel_tol : float
         Relative threshold for the numerical-rank estimate: singular
         values at or below ``rel_tol * sigma[0] * max(p, n)`` do not count
         towards ``rank``.
     """
-    A = _as_matrix(A)
+    A = _as_matrix(A, dtype=complex if np.iscomplexobj(A) else float)
+    # LAPACK reduces a tall matrix (QR first) about twice as fast as a wide
+    # one (LQ first), so a wide A is decomposed as A.T = V diag(s) U.T
+    tall = A.shape[0] >= A.shape[1]
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        L, s, Rt = np.linalg.svd(A if tall else A.T, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    U, V = (L, Rt.T) if tall else (Rt.T, L)
     rank = int(np.sum(s > _rank_cutoff(s, A.shape, rel_tol)))
-    return SvdResult(U=U, sigma=s, V=Vt.T, rank=rank)
+    return SvdResult(U=U, sigma=s, V=V, rank=rank)
 
 
 def truncated_svd(A, k):
@@ -89,21 +93,18 @@ def truncated_svd(A, k):
 
 
 def pinv(A, rel_tol=1e-12):
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse via SVD, of a real or complex matrix.
 
     Singular values at or below ``rel_tol * sigma_max * max(rows, cols)``
     are treated as exact zeros; this is the standard numerical-rank
     convention and keeps noise directions of low-rank data from being
-    amplified by 1/sigma.
+    amplified by 1/sigma.  Rank 0 gives the transposed zero matrix.
     """
-    A = _as_matrix(A)
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
     res = svd(A, rel_tol=rel_tol)
     r = res.rank
-    if r == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    return (res.V[:, :r] / res.sigma[:r]) @ res.U[:, :r].T
+    return (res.V[:, :r].conj() / res.sigma[:r]) @ res.U[:, :r].conj().T
 
 
 def _phase_fix(vectors):
@@ -168,15 +169,3 @@ def eig_symmetric(A, sym_tol=1e-10):
             vectors[:, j] = -vectors[:, j]
     return values, vectors
 
-
-def inv_sqrt_spd(A):
-    """Inverse matrix square root of a symmetric positive definite matrix.
-
-    The result ``B`` satisfies ``B @ A @ B = I``.  A nonpositive smallest
-    eigenvalue is rejected with its value reported.
-    """
-    values, vectors = eig_symmetric(A)
-    if values.size == 0 or values[-1] <= 0.0:
-        smallest = values[-1] if values.size else float("nan")
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {smallest:.3e})")
-    return (vectors / np.sqrt(values)) @ vectors.T

@@ -10,7 +10,7 @@ above the first series.
 import math
 import os
 
-from .experiments import mean_errors, read_records
+from .experiments import RECORD_FIELDS, mean_errors, read_records
 
 # reference decay exponents from the theory, per suite and x-axis
 GUIDE_SLOPES = {
@@ -139,9 +139,9 @@ def _svg_figure(title, xlabel, series, guide):
     return "\n".join(parts)
 
 
-def _gnuplot_script(suite, records_path, out_dir):
+def _gnuplot_script(suite, records_path):
     xlabel = "q" if suite == "missing-q" else "n"
-    xcol = 6 if suite == "missing-q" else 2
+    xcol = RECORD_FIELDS.index(xlabel) + 1
     lines = [
         "# regenerate the error plots for suite "
         f"{suite} from {os.path.basename(records_path)}",
@@ -150,10 +150,11 @@ def _gnuplot_script(suite, records_path, out_dir):
         f"set xlabel '{xlabel}'",
         "set key top right",
     ]
-    for kind, col in (("q_sq_error", 9), ("s_sq_error", 10), ("eig_sq_error", 11)):
+    for kind in _KINDS:
         lines.append(f"set ylabel '{kind}'")
         lines.append(
-            f"plot '{os.path.basename(records_path)}' using {xcol}:{col} "
+            f"plot '{os.path.basename(records_path)}' "
+            f"using {xcol}:{RECORD_FIELDS.index(kind) + 1} "
             f"with points title '{kind}'"
         )
         lines.append("pause -1")
@@ -204,7 +205,7 @@ def emit_plots(records_path, out_dir):
             written.append(path)
         script = os.path.join(out_dir, f"{suite}_plots.gnuplot")
         with open(script, "w") as fh:
-            fh.write(_gnuplot_script(suite, records_path, out_dir))
+            fh.write(_gnuplot_script(suite, records_path))
         written.append(script)
     if not written:
         raise ValueError("records contain no positive finite errors to plot")

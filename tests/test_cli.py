@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmdsep import cli, metrics, signals
+from dmdsep import cli, experiments, metrics, plots, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
 from dmdsep.experiments import AUDIO_DEMO_Q, default_config, run_experiment
 from dmdsep.plots import emit_plots
@@ -170,6 +170,35 @@ class TestMainExitCodes:
         assert code == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,raw",
+        [
+            ("--n-grid", "1,x"),
+            ("--trials", "two"),
+            ("--seed", "1.5"),
+            ("--p", "x"),
+            ("--k", "2.5"),
+        ],
+    )
+    def test_malformed_flag_is_exit_1(self, flag, raw, capsys):
+        assert main(["experiment", "cosine", flag, raw]) == 1
+        assert f"{flag}: cannot parse {raw!r}" in capsys.readouterr().err
+
+    def test_flags_override_file_values(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("suite = cosine\nn_grid = 500, 1000\ntrials = 3\nseed = 5\n")
+        args = cli.build_parser().parse_args(
+            ["experiment", "--config", str(cfgfile), "--trials", "2", "--tau", "1,2,"]
+        )
+        cfg = cli._experiment_config(args)
+        assert (cfg.suite, cfg.n_grid, cfg.trials, cfg.seed) == ("cosine", (500, 1000), 2, 5)
+        assert cfg.tau_list == (1, 2)
+        assert cfg.p == default_config("cosine").p
+
+    def test_wrong_suite_shape_is_exit_1(self, capsys):
+        assert main(["experiment", "eigenwalker", "--k", "3"]) == 1
+        assert "k must be 2" in capsys.readouterr().err
+
     def test_bad_csv_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")
@@ -226,6 +255,24 @@ class TestEmitPlots:
         path = self._records(tmp_path, "eigenwalker")
         written = emit_plots(path, str(tmp_path / "plots"))
         assert any(w.endswith("eigenwalker_plots.gnuplot") for w in written)
+
+    @pytest.mark.parametrize("suite,x", [("cosine", "n"), ("missing-q", "q")])
+    def test_gnuplot_columns_follow_record_fields(self, suite, x):
+        script = plots._gnuplot_script(suite, "records.csv")
+        lines = script.splitlines()
+        used = [ln.split(" using ")[1].split()[0] for ln in lines if " using " in ln]
+        fields = experiments.RECORD_FIELDS
+        assert used == [
+            f"{fields.index(x) + 1}:{fields.index(kind) + 1}"
+            for kind in ("q_sq_error", "s_sq_error", "eig_sq_error")
+        ]
+
+    def test_short_records_row_is_exit_1(self, tmp_path, capsys):
+        path = self._records(tmp_path, "eigenwalker")
+        with open(path, "a") as fh:
+            fh.write("eigenwalker,1000,3\n")
+        assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 1
+        assert "line 4: expected 12 cells, found 3" in capsys.readouterr().err
 
     def test_empty_records_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

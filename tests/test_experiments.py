@@ -42,6 +42,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             cfg.validate()
 
+    @pytest.mark.parametrize("suite", experiments.SUITES)
+    def test_source_count_fixed_per_suite(self, suite):
+        cfg = default_config(suite)
+        assert cfg.k == experiments.SUITE_TABLE[suite].k
+        cfg.k += 1
+        with pytest.raises(ValueError, match=f"k must be {cfg.k - 1} for suite {suite}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("suite,p", [("eigenwalker", 3), ("changepoint", 4)])
+    def test_channel_count_fixed(self, suite, p):
+        cfg = default_config(suite)
+        assert cfg.p == p
+        cfg.p = 10
+        with pytest.raises(ValueError, match=f"p must be {p} for suite {suite}, got 10"):
+            cfg.validate()
+
 
 class TestSeedDerivation:
     def test_frozen_reference_value(self):
@@ -72,6 +88,19 @@ class TestEigenwalkerSuite:
         t0 = time.perf_counter()
         run_experiment(default_config("eigenwalker"))
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("suite", ["eigenwalker", "changepoint"])
+def test_fixed_shape_suites_visit_every_n(suite):
+    cfg = default_config(suite)
+    cfg.n_grid = (1000, 1500)
+    records = run_experiment(cfg)
+    assert sorted({rec.n for rec in records}) == [1000, 1500]
+    cfg.n_grid = (1500,)
+    alone = run_experiment(cfg)
+    assert [(r.method, r.q_sq_error, r.s_sq_error) for r in records if r.n == 1500] == [
+        (r.method, r.q_sq_error, r.s_sq_error) for r in alone
+    ]
 
 
 class TestDeterminism:
@@ -135,6 +164,24 @@ class TestRecordsIO:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
+            read_records(str(path))
+
+    @pytest.mark.parametrize("suffix,found", [("", 11), (",0,7", 13)])
+    def test_wrong_cell_count_names_line(self, tmp_path, suffix, found):
+        path = tmp_path / "records.csv"
+        write_records(run_experiment(default_config("eigenwalker")), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + suffix  # drop wall_ms, maybe add two
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: expected 12 cells, found {found}"):
+            read_records(str(path))
+
+    def test_unparsable_cell_names_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(run_experiment(default_config("eigenwalker")), str(path))
+        text = path.read_text().replace(",1000,", ",many,", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="line 2: cannot parse"):
             read_records(str(path))
 
 

@@ -92,8 +92,8 @@ def mp_conditions(A, P):
     checks = [
         np.linalg.norm(A @ P @ A - A),
         np.linalg.norm(P @ A @ P - P),
-        np.linalg.norm((A @ P).T - A @ P),
-        np.linalg.norm((P @ A).T - P @ A),
+        np.linalg.norm((A @ P).conj().T - A @ P),
+        np.linalg.norm((P @ A).conj().T - P @ A),
     ]
     return max(checks)
 
@@ -129,6 +129,22 @@ class TestPinv:
             A = random_matrix(rng, 8, r) @ random_matrix(rng, r, 10)
             P = linalg.pinv(A)
             assert mp_conditions(A, P) <= 1e-8 * (1 + np.linalg.norm(A))
+
+    def test_four_conditions_complex(self):
+        # the estimated mode matrices are complex when eigenvalues pair up
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            r = rng.integers(1, 4)
+            B = random_matrix(rng, 8, r) + 1j * random_matrix(rng, 8, r)
+            A = B @ (random_matrix(rng, r, 5) + 1j * random_matrix(rng, r, 5))
+            P = linalg.pinv(A)
+            assert np.iscomplexobj(P)
+            assert mp_conditions(A, P) <= 1e-8 * (1 + np.linalg.norm(A))
+
+    def test_complex_zero_maps_to_transposed_zero(self):
+        P = linalg.pinv(np.zeros((2, 3), dtype=complex))
+        assert P.shape == (3, 2)
+        assert np.all(P == 0.0)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError, match="rel_tol"):
@@ -231,20 +247,3 @@ class TestEigSymmetric:
         with pytest.raises(ValueError, match="symmetric"):
             linalg.eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-class TestInvSqrtSpd:
-    def test_identity(self):
-        assert np.allclose(linalg.inv_sqrt_spd(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        B = linalg.inv_sqrt_spd(np.diag([4.0, 9.0]))
-        assert np.allclose(B, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-
-    def test_dense_spd(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        B = linalg.inv_sqrt_spd(A)
-        assert np.linalg.norm(B @ A @ B - np.eye(2)) <= 1e-10
-
-    def test_rejects_indefinite_with_eigenvalue(self):
-        with pytest.raises(ValueError, match="-1"):
-            linalg.inv_sqrt_spd(np.diag([2.0, -1.0]))

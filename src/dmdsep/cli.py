@@ -160,8 +160,14 @@ def load_config_file(path):
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which is the numerical-failure code
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmdsep",
         description="Time-series source separation via dynamic-mode estimators",
     )
@@ -202,8 +208,8 @@ def _experiment_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "experiment":
             cfg = _experiment_config(args)
             records = run_experiment(cfg)

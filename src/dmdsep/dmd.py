@@ -35,7 +35,8 @@ class LagPair:
 class DmdResult:
     """Top-k eigenpairs of the lag-tau propagator.
 
-    ``a_hat`` is the dense propagator, retained only on request;
+    ``rank`` is min(r, k) for the numerical rank r of X0; ``a_hat`` is the
+    p x p propagator, formed only when ``keep_operator`` is set (any p);
     ``observed_q`` records the observation probability when the fit came
     through the missing-data path (diagnostic only).
     """
@@ -72,51 +73,7 @@ def make_lag_pair(X, tau):
     return LagPair(X0=X[:, : n - tau], X1=X[:, tau:], tau=tau)
 
 
-def _top_k(eig, k):
-    return ComplexEig(values=eig.values[:k], vectors=eig.vectors[:, :k])
-
-
-def _fit_dense(pair, k, keep_operator):
-    """Materialize A = X1 @ pinv(X0) and eigendecompose it."""
-    res = linalg.svd(pair.X0)
-    r = res.rank
-    if r < k:
-        warnings.warn(
-            f"snapshot matrix has numerical rank {r} < requested k={k}; "
-            "trailing modes are noise",
-            stacklevel=3,
-        )
-    # (X1 @ V_r / s_r) @ U_r.T is exactly X1 @ pinv(X0)
-    if r == 0:
-        a_hat = np.zeros((pair.X0.shape[0],) * 2)
-    else:
-        a_hat = (pair.X1 @ (res.V[:, :r] / res.sigma[:r])) @ res.U[:, :r].T
-    eig = linalg.eig_nonsymmetric(a_hat)
-    return _top_k(eig, k), r, (a_hat if keep_operator else None)
-
-
-def _fit_projected(pair, k):
-    """Solve the eigenproblem in the k-dimensional left singular basis of X0.
-
-    On data whose numerical rank is k this has the same nonzero spectrum
-    as the dense propagator; it avoids the p x p matrix entirely.
-    """
-    res = linalg.svd(pair.X0)
-    r = res.rank
-    if r < k:
-        warnings.warn(
-            f"snapshot matrix has numerical rank {r} < requested k={k}; "
-            "trailing modes are noise",
-            stacklevel=3,
-        )
-    U, s, V = res.U[:, :k], res.sigma[:k], res.V[:, :k]
-    small = U.T @ (pair.X1 @ (V / np.where(s > 0, s, 1.0)))
-    eig = linalg.eig_nonsymmetric(small)
-    lifted = U.astype(complex) @ eig.vectors
-    return ComplexEig(values=eig.values, vectors=linalg._phase_fix(lifted)), r
-
-
-def dmd_fit(X, tau, k, keep_operator=False, dense_threshold=2000):
+def dmd_fit(X, tau, k, keep_operator=False):
     """Fit the lag-``tau`` propagator and return its top-``k`` eigenpairs.
 
     Parameters
@@ -128,52 +85,77 @@ def dmd_fit(X, tau, k, keep_operator=False, dense_threshold=2000):
     k : int
         Number of modes to return (the assumed number of sources).
     keep_operator : bool
-        Retain the dense propagator in the result (dense path only).
-    dense_threshold : int
-        Above this channel count the p x p propagator is never formed;
-        the eigenproblem is solved in the k-dimensional SVD basis of the
-        first snapshot matrix and the eigenvectors are lifted back.
+        Also return the p x p propagator, built from the factors (any p).
 
-    Eigenpairs are sorted by modulus descending with the phase convention
-    of :mod:`dmdsep.linalg`.  A numerically rank-deficient snapshot matrix
-    (rank < k) triggers a warning with the detected rank.
+    One reduced exact-DMD kernel serves every p (Tu, Rowley, Luchtenburg,
+    Brunton & Kutz 2014).  With ``X0 = U_r S_r V_r^T`` at numerical rank r
+    and ``B = X1 V_r S_r^-1``, the propagator ``X1 @ pinv(X0)`` is
+    ``B U_r^T``, and each eigenpair ``(lam, w)`` of the r x r matrix
+    ``U_r^T B`` gives its eigenpair ``(lam, B w)``, or ``(0, U_r w)`` where
+    ``B w`` vanishes.  Eigenpairs are sorted by modulus descending with the
+    phase convention of :mod:`dmdsep.linalg`.  A rank r < k triggers a
+    warning; the k - r trailing modes are the next left singular vectors
+    of X0, null vectors of the propagator, with eigenvalue 0.
     """
-    X = np.asarray(X, dtype=float)
     pair = make_lag_pair(X, tau)
     p, m = pair.X0.shape
     if not 1 <= k <= min(p, m):
         raise ValueError(f"k={k} outside [1, {min(p, m)}] for p={p}, n-tau={m}")
-    if p <= dense_threshold:
-        eig, rank, a_hat = _fit_dense(pair, k, keep_operator)
-    else:
-        eig, rank = _fit_projected(pair, k)
-        a_hat = None
-    return DmdResult(eig=eig, tau=tau, rank=min(rank, k), a_hat=a_hat)
+    U, sigma, r = linalg.left_svd(pair.X0)
+    if r < k:
+        warnings.warn(
+            f"snapshot matrix has numerical rank {r} < requested k={k}; "
+            "trailing modes are noise",
+            stacklevel=2,
+        )
+    U_r = U[:, :r]
+    # X0^T U_r S_r^-2 = V_r S_r^-1, so V_r is never formed on its own
+    B = pair.X1 @ (pair.X0.T @ (U_r / sigma[:r] ** 2))
+    small = linalg.eig_nonsymmetric(U_r.T @ B)
+    values, w = small.values[:k], small.vectors[:, :k]
+    modes = B @ w
+    vanished = ~modes.any(axis=0)
+    modes[:, vanished] = U_r @ w[:, vanished]
+    eig = ComplexEig(
+        values=np.concatenate([values, np.zeros(k - values.size)]),
+        vectors=linalg._phase_fix(np.hstack([modes, U[:, r:k]])),
+    )
+    a_hat = B @ U_r.T if keep_operator else None
+    return DmdResult(eig=eig, tau=tau, rank=min(r, k), a_hat=a_hat)
 
 
-def tsvd_dmd_fit(X_masked, q, tau, k, dense_threshold=2000):
+def tsvd_dmd_fit(X_masked, q, tau, k):
     """Missing-data variant: rank-``k`` truncated SVD fill-in, then DMD.
 
     ``X_masked`` has unobserved entries set to zero.  With ``q == 1``
     there is nothing to fill in and the data passes through unchanged, so
-    the result is identical to :func:`dmd_fit` bit for bit.  ``q`` is
+    the result is identical to :func:`dmd_fit` bit for bit.  Otherwise the
+    fill-in ``U_k U_k^T X_masked`` (:func:`fill_in`) stays factored: the
+    k x n coordinates ``U_k^T X_masked`` are fitted and their modes lifted
+    by ``U_k``, which gives the propagator of the fill-in.  ``q`` is
     recorded for diagnostics only; no 1/q rescaling is applied because the
     propagator (hence its spectrum and eigenvectors) is invariant under
     global rescaling of the data.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"observation probability q={q} outside (0, 1]")
-    X_masked = np.asarray(X_masked, dtype=float)
-    X = X_masked if q == 1.0 else fill_in(X_masked, k)
-    fit = dmd_fit(X, tau, k, dense_threshold=dense_threshold)
+    if q == 1.0:
+        fit = dmd_fit(X_masked, tau, k)
+    else:
+        U_k = linalg.left_svd(X_masked)[0][:, :k]
+        fit = dmd_fit(U_k.T @ X_masked, tau, k)
+        fit.eig.vectors = linalg._phase_fix(U_k @ fit.eig.vectors)
     fit.observed_q = q
     return fit
 
 
 def fill_in(X_zeroed, k):
-    """Rank-``k`` truncated-SVD surrogate of data whose missing entries are zero."""
-    ts = linalg.truncated_svd(X_zeroed, k)
-    return (ts.U * ts.sigma) @ ts.V.T
+    """Rank-``k`` truncated-SVD surrogate ``U_k U_k^T X`` of data whose
+    missing entries are zero (the Eckart-Young best rank-k approximation)."""
+    if not 1 <= k <= min(np.shape(X_zeroed)):
+        raise ValueError(f"k={k} out of range for shape {np.shape(X_zeroed)}")
+    U_k = linalg.left_svd(X_zeroed)[0][:, :k]
+    return U_k @ (U_k.T @ X_zeroed)
 
 
 def left_vectors(Q_hat):
@@ -218,7 +200,7 @@ def recover_signals(X, left_vecs, imag_tol=1e-6):
     return out
 
 
-def dmf(X, tau, k, dense_threshold=2000):
+def dmf(X, tau, k):
     """Dynamic mode factorization: de-mean, fit, and factor ``X ~= Q_hat @ C_hat.T``.
 
     Steps: estimate the column mean ``mu_hat``, fit the lag-``tau``
@@ -234,7 +216,7 @@ def dmf(X, tau, k, dense_threshold=2000):
         raise ValueError(f"k={k} out of range for shape {X.shape} at tau={tau}")
     mu = X.mean(axis=1)
     Xbar = X - mu[:, None]
-    fit = dmd_fit(Xbar, tau, k, dense_threshold=dense_threshold)
+    fit = dmd_fit(Xbar, tau, k)
     Q_hat = fit.eig.vectors
     if np.all(fit.eig.values.imag == 0.0):
         Q_hat = Q_hat.real

@@ -52,10 +52,10 @@ class ComplexEig:
     vectors: np.ndarray
 
 
-def _rank_cutoff(sigma, shape, rel_tol):
+def _rank(sigma, shape, rel_tol):
     if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0.0
-    return rel_tol * sigma[0] * max(shape)
+        return 0
+    return int(np.sum(sigma > rel_tol * sigma[0] * max(shape)))
 
 
 def svd(A, rel_tol=1e-12):
@@ -78,8 +78,19 @@ def svd(A, rel_tol=1e-12):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     U, V = (L, Rt.T) if tall else (Rt.T, L)
-    rank = int(np.sum(s > _rank_cutoff(s, A.shape, rel_tol)))
-    return SvdResult(U=U, sigma=s, V=V, rank=rank)
+    return SvdResult(U=U, sigma=s, V=V, rank=_rank(s, A.shape, rel_tol))
+
+
+def left_svd(A):
+    """``(U, sigma, rank)`` of ``A`` as from :func:`svd`, without the right
+    factor: only R of ``A.T = Q R`` is formed, and ``R = P diag(sigma) U.T``
+    gives ``A = U diag(sigma) (Q P).T``."""
+    A = _as_matrix(A)
+    try:
+        _, s, Ut = np.linalg.svd(np.linalg.qr(A.T, mode="r"), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return Ut.T, s, _rank(s, A.shape, 1e-12)
 
 
 def truncated_svd(A, k):

@@ -184,6 +184,29 @@ class TestMainExitCodes:
         assert main(["experiment", "cosine", flag, raw]) == 1
         assert f"{flag}: cannot parse {raw!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["unmix", "{csv}", "--lag", "x"], "argument --lag: invalid int value: 'x'"),
+            (["unmix", "{csv}", "--rank", "x"], "argument --rank: invalid int value: 'x'"),
+            (["experiment", "nosuch"], "argument suite: invalid choice: 'nosuch'"),
+        ],
+        ids=["lag", "rank", "suite"],
+    )
+    def test_usage_error_is_exit_1(self, argv, message, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("1,2\n3,4\n5,6\n7,8\n")
+        assert main([a.format(csv=csv) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "usage: dmdsep" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["unmix", "--help"]])
+    def test_help_is_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: dmdsep" in capsys.readouterr().out
+
     def test_flags_override_file_values(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("suite = cosine\nn_grid = 500, 1000\ntrials = 3\nseed = 5\n")

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dmdsep import dmd, lagstats, metrics, signals
+from dmdsep import dmd, lagstats, linalg, metrics, signals
 from dmdsep.experiments import AUDIO_DEMO_Q, EIGENWALKER_Q, eigenwalker_model
 
 
@@ -110,17 +112,144 @@ class TestDmdFit:
         with pytest.warns(UserWarning, match="rank 2"):
             dmd.dmd_fit(model.X, 1, 3)
 
-    def test_projected_path_matches_dense(self):
-        model = eigenwalker_model(500)
-        dense = dmd.dmd_fit(model.X, 1, 2)
-        projected = dmd.dmd_fit(model.X, 1, 2, dense_threshold=0)
-        assert np.allclose(projected.eig.values, dense.eig.values, atol=1e-8)
-        assert np.allclose(projected.eig.vectors, dense.eig.vectors, atol=1e-7)
-
     def test_rejects_bad_k(self):
         X = np.zeros((3, 10))
         with pytest.raises(ValueError, match="k="):
             dmd.dmd_fit(X, 1, 4)
+
+
+@st.composite
+def snapshot_series(draw):
+    """``(X, tau, k)`` with X of a drawn rank plus optional noise: covers
+    rank < p, p > n - tau, numerical rank < k and noisy full-rank data."""
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(4, 16))
+    tau = draw(st.integers(1, min(3, n - 2)))
+    rank = draw(st.integers(1, p))
+    noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    k = draw(st.integers(1, min(p, n - tau)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+    return X + noise * rng.standard_normal((p, n)), tau, k
+
+
+def dense_oracle(X, tau):
+    """``A = X1 @ pinv(X0)``, all its eigenpairs, and ``1 + ||A||_2``."""
+    m = X.shape[1] - tau
+    A = X[:, tau:] @ linalg.pinv(X[:, :m])
+    return A, linalg.eig_nonsymmetric(A), 1.0 + np.linalg.norm(A, 2)
+
+
+def top_k_is_unambiguous(values, k, scale):
+    """No modulus tie, other than a conjugate pair or two numerical zeros,
+    among the first k + 1 eigenvalues, so sorting picks the same top k in
+    the same order under rounding."""
+    head = values[: k + 1]
+    for a, b in zip(head[:-1], head[1:]):
+        tied = abs(abs(a) - abs(b)) <= 1e-6 * scale
+        if tied and not (a == b.conjugate() or abs(a) <= 1e-9 * scale):
+            return False
+    return True
+
+
+def simple_nonzero(values, j, scale):
+    others = np.delete(values, j)
+    separated = others.size == 0 or np.abs(others - values[j]).min() > 1e-3 * scale
+    return separated and abs(values[j]) > 1e-6 * scale
+
+
+def phase_gap(v, u):
+    """``min over |c| = 1 of ||v - c u||`` for unit vectors."""
+    inner = np.vdot(u, v)
+    return np.linalg.norm(v - (inner / abs(inner)) * u) if inner != 0 else np.inf
+
+
+class TestReducedKernelOracle:
+    """The reduced kernel against the dense eigendecomposition of X1 @ pinv(X0)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(snapshot_series())
+    def test_matches_dense_propagator(self, case):
+        X, tau, k = case
+        A, dense, scale = dense_oracle(X, tau)
+        X0 = X[:, : X.shape[1] - tau]
+        r = linalg.svd(X0).rank
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = dmd.dmd_fit(X, tau, k, keep_operator=True)
+        assert any("numerical rank" in str(w.message) for w in caught) == (r < k)
+        assert fit.rank == min(r, k)
+        assert np.abs(fit.a_hat - A).max() <= 1e-8 * scale
+        if r == X.shape[0] and np.linalg.cond(X0) <= 1e3:
+            oracle = normal_equations_propagator(X, tau)
+            assert np.abs(fit.a_hat - oracle).max() <= 1e-8 * (1 + np.abs(oracle).max())
+        # every returned pair is an eigenpair of A, padded null vectors included
+        V, lam = fit.eig.vectors, fit.eig.values
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0)
+        assert np.linalg.norm(A @ V - V * lam, axis=0).max() <= 1e-9 * scale
+        assume(top_k_is_unambiguous(dense.values, k, scale))
+        assert np.abs(lam - dense.values[:k]).max() <= 1e-9 * scale
+        for j in range(k):
+            if simple_nonzero(dense.values, j, scale):
+                assert phase_gap(V[:, j], dense.vectors[:, j]) <= 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(snapshot_series(), st.sampled_from((-3.7, 1e-4, 2.0**20)), st.data())
+    def test_scale_invariant_and_permutation_equivariant(self, case, c, data):
+        X, tau, k = case
+        perm = np.array(data.draw(st.permutations(range(X.shape[0]))))
+        _, dense, scale = dense_oracle(X, tau)
+        assume(top_k_is_unambiguous(dense.values, k, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = dmd.dmd_fit(X, tau, k)
+            scaled = dmd.dmd_fit(c * X, tau, k)
+            permuted = dmd.dmd_fit(X[perm], tau, k)
+        for fit, expected in ((scaled, base.eig.vectors), (permuted, base.eig.vectors[perm])):
+            assert fit.rank == base.rank
+            assert np.abs(fit.eig.values - base.eig.values).max() <= 1e-9 * scale
+            for j in range(k):
+                if simple_nonzero(dense.values, j, scale):
+                    assert phase_gap(fit.eig.vectors[:, j], expected[:, j]) <= 1e-8
+
+    def test_zero_eigenvalue_modes_are_null_vectors(self):
+        # X0 = [2 e1, e2], X1 = [e3, 0]: A maps e1 to e3 / 2 and is zero on
+        # e2 and e3.  Both reduced eigenvalues are 0; B w = e3 / 2 is a null
+        # vector, and where B w vanishes U_r w = e2 is one.  The projected
+        # mode e1 would not be an eigenvector (A e1 != 0).
+        X = np.zeros((3, 4))
+        X[0, 0], X[1, 1], X[2, 2] = 2.0, 1.0, 1.0
+        A = dense_oracle(X, 2)[0]
+        fit = dmd.dmd_fit(X, 2, 2)
+        assert np.array_equal(fit.eig.values, [0.0, 0.0])
+        assert np.abs(A @ fit.eig.vectors).max() == 0.0
+        assert sorted(np.argmax(np.abs(fit.eig.vectors), axis=0)) == [1, 2]
+
+
+class TestFillIn:
+    def test_matches_truncated_svd_reconstruction(self):
+        rng = np.random.default_rng(7)
+        for shape, k in (((6, 40), 2), ((40, 6), 3), ((30, 200), 5)):
+            X = rng.standard_normal(shape)
+            ts = linalg.truncated_svd(X, k)
+            assert np.abs(dmd.fill_in(X, k) - (ts.U * ts.sigma) @ ts.V.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_bad_rank(self, k):
+        with pytest.raises(ValueError, match="k="):
+            dmd.fill_in(np.ones((3, 10)), k)
+
+    def test_masked_fit_is_dmd_of_fill_in(self):
+        p, n, q, k = 60, 2000, 0.3, 2
+        spec = signals.CosineSpec(omegas=(0.25, 2.0))
+        Q = signals.random_unit_columns(p, k, seed=5)
+        model = signals.assemble(Q, np.array([2.0, 1.0]), signals.gen_cosines(spec, n))
+        X_masked = signals.apply_mask(model.X, signals.MaskSpec(q=q, seed=5))
+        for tau in (1, 2):
+            factored = dmd.tsvd_dmd_fit(X_masked, q, tau, k)
+            plain = dmd.dmd_fit(dmd.fill_in(X_masked, k), tau, k)
+            assert np.abs(factored.eig.values - plain.eig.values).max() <= 1e-10
+            assert np.abs(factored.eig.vectors - plain.eig.vectors).max() <= 1e-10
 
 
 class TestTsvdDmdFit:

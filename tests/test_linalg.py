@@ -54,6 +54,25 @@ class TestSvd:
         assert np.array_equal(r1.V, r2.V)
 
 
+class TestLeftSvd:
+    def test_matches_thin_svd(self):
+        rng = np.random.default_rng(5)
+        for rows, cols in ((3, 50), (20, 400), (7, 4), (1, 9)):
+            A = random_matrix(rng, rows, cols)
+            full = linalg.svd(A)
+            U, sigma, rank = linalg.left_svd(A)
+            assert rank == full.rank
+            assert np.allclose(sigma, full.sigma, rtol=1e-12, atol=0)
+            # distinct singular values: columns agree up to sign
+            assert np.allclose(np.abs(np.sum(U * full.U, axis=0)), 1.0, atol=1e-10)
+
+    def test_rank_cutoff(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 300))
+        assert linalg.left_svd(A)[2] == 2
+        assert linalg.left_svd(np.zeros((3, 8)))[2] == 0
+
+
 class TestTruncatedSvd:
     def test_full_rank_identity(self):
         res = linalg.truncated_svd(np.eye(3), 3)

@@ -16,6 +16,7 @@ from .dmd import (
     DmfResult,
     LagPair,
     dmd_fit,
+    dmd_fits,
     dmf,
     left_vectors,
     make_lag_pair,
@@ -86,6 +87,7 @@ __all__ = [
     "cosine_lag_theory",
     "default_config",
     "dmd_fit",
+    "dmd_fits",
     "dmf",
     "eig_error",
     "eig_nonsymmetric",

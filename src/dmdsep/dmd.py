@@ -97,31 +97,51 @@ def dmd_fit(X, tau, k, keep_operator=False):
     warning; the k - r trailing modes are the next left singular vectors
     of X0, null vectors of the propagator, with eigenvalue 0.
     """
-    pair = make_lag_pair(X, tau)
-    p, m = pair.X0.shape
-    if not 1 <= k <= min(p, m):
-        raise ValueError(f"k={k} outside [1, {min(p, m)}] for p={p}, n-tau={m}")
-    U, sigma, r = linalg.left_svd(pair.X0)
-    if r < k:
-        warnings.warn(
-            f"snapshot matrix has numerical rank {r} < requested k={k}; "
-            "trailing modes are noise",
-            stacklevel=2,
+    return next(dmd_fits(X, (tau,), k, keep_operator))
+
+
+def dmd_fits(X, taus, k, keep_operator=False):
+    """Yield :func:`dmd_fit` of ``X`` at each lag in ``taus``, in order,
+    from one pass over the data.
+
+    The snapshot matrices of the lags share their first ``n - max(taus)``
+    columns, so R of that prefix (``X0_pre^T = Q R``, :func:`linalg.qr_r`)
+    is formed once.  Then ``X0^T = diag(Q, I) [R; E^T]`` for the
+    ``max(taus) - tau`` extra columns E of each lag, and the left singular
+    pairs of X0 are those of the p x (p + max(taus) - tau) matrix
+    ``[R^T, E]``.  Every lag and k are checked before the first fit.
+    """
+    X = np.asarray(X, dtype=float)
+    if not taus:
+        raise ValueError("taus must be nonempty")
+    pairs = [make_lag_pair(X, tau) for tau in taus]
+    p, m_pre = X.shape[0], X.shape[1] - max(taus)
+    if not 1 <= k <= min(p, m_pre):
+        raise ValueError(f"k={k} outside [1, {min(p, m_pre)}] for p={p}, n-tau={m_pre}")
+    R = linalg.qr_r(X[:, :m_pre].T)
+    for pair in pairs:
+        U, sigma, _ = linalg.left_svd(np.hstack([R.T, pair.X0[:, m_pre:]]))
+        r = linalg._rank(sigma, pair.X0.shape)
+        if r < k:
+            warnings.warn(
+                f"snapshot matrix has numerical rank {r} < requested k={k}; "
+                "trailing modes are noise",
+                stacklevel=2,
+            )
+        U_r = U[:, :r]
+        # X0^T U_r S_r^-2 = V_r S_r^-1, so V_r is never formed on its own
+        B = pair.X1 @ (pair.X0.T @ (U_r / sigma[:r] ** 2))
+        small = linalg.eig_nonsymmetric(U_r.T @ B)
+        values, w = small.values[:k], small.vectors[:, :k]
+        modes = B @ w
+        vanished = ~modes.any(axis=0)
+        modes[:, vanished] = U_r @ w[:, vanished]
+        eig = ComplexEig(
+            values=np.concatenate([values, np.zeros(k - values.size)]),
+            vectors=linalg._phase_fix(np.hstack([modes, U[:, r:k]])),
         )
-    U_r = U[:, :r]
-    # X0^T U_r S_r^-2 = V_r S_r^-1, so V_r is never formed on its own
-    B = pair.X1 @ (pair.X0.T @ (U_r / sigma[:r] ** 2))
-    small = linalg.eig_nonsymmetric(U_r.T @ B)
-    values, w = small.values[:k], small.vectors[:, :k]
-    modes = B @ w
-    vanished = ~modes.any(axis=0)
-    modes[:, vanished] = U_r @ w[:, vanished]
-    eig = ComplexEig(
-        values=np.concatenate([values, np.zeros(k - values.size)]),
-        vectors=linalg._phase_fix(np.hstack([modes, U[:, r:k]])),
-    )
-    a_hat = B @ U_r.T if keep_operator else None
-    return DmdResult(eig=eig, tau=tau, rank=min(r, k), a_hat=a_hat)
+        a_hat = B @ U_r.T if keep_operator else None
+        yield DmdResult(eig=eig, tau=pair.tau, rank=min(r, k), a_hat=a_hat)
 
 
 def tsvd_dmd_fit(X_masked, q, tau, k):
@@ -175,7 +195,8 @@ def recover_signals(X, left_vecs, imag_tol=1e-6):
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(left_vecs)
-    raw = (W @ X).T  # n x k
+    # a complex W @ X would first cast X to complex, a 16 p n byte copy
+    raw = (W.real @ X + 1j * (W.imag @ X) if np.iscomplexobj(W) else W @ X).T  # n x k
     k = raw.shape[1]
     out = np.empty(raw.shape, dtype=float)
     for j in range(k):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
 
 @dataclass
@@ -121,7 +120,7 @@ def ar_theoretical_acf(ar_coeffs, max_lag):
                 b[h - 1] += a[j - 1]
             else:
                 M[h - 1, lag - 1] -= a[j - 1]
-    head = solve(M, b)
+    head = np.linalg.solve(M, b)
     rho[1 : min(p, max_lag) + 1] = head[: min(p, max_lag)]
     for h in range(p + 1, max_lag + 1):
         rho[h] = sum(a[j - 1] * rho[h - j] for j in range(1, p + 1))

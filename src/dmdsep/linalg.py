@@ -52,7 +52,14 @@ class ComplexEig:
     vectors: np.ndarray
 
 
-def _rank(sigma, shape, rel_tol):
+# TSQR row blocks of a tall m x p matrix hold TSQR_BLOCK * p rows, and at
+# least TSQR_MIN_ENTRIES entries: for p < 58 a block of 10p rows is too
+# small for its QR to outweigh the cost of the call
+TSQR_BLOCK = 10
+TSQR_MIN_ENTRIES = 2**15
+
+
+def _rank(sigma, shape, rel_tol=1e-12):
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
     return int(np.sum(sigma > rel_tol * sigma[0] * max(shape)))
@@ -81,16 +88,31 @@ def svd(A, rel_tol=1e-12):
     return SvdResult(U=U, sigma=s, V=V, rank=_rank(s, A.shape, rel_tol))
 
 
+def qr_r(M):
+    """R of ``M = Q R`` (Q never formed) by a flat TSQR: the R-only QR of
+    each row block (see ``TSQR_BLOCK``), then of the stacked block R's
+    (Demmel, Grigori, Hoemmen & Langou 2012); backward stable like one
+    Householder QR, and one plain QR when ``M`` fits in a single block."""
+    M = _as_matrix(M)
+    cols = M.shape[1]
+    step = max(TSQR_BLOCK * cols, TSQR_MIN_ENTRIES // max(cols, 1))
+    if M.shape[0] > step:
+        M = np.vstack(
+            [np.linalg.qr(M[i : i + step], mode="r") for i in range(0, M.shape[0], step)]
+        )
+    return np.linalg.qr(M, mode="r")
+
+
 def left_svd(A):
     """``(U, sigma, rank)`` of ``A`` as from :func:`svd`, without the right
-    factor: only R of ``A.T = Q R`` is formed, and ``R = P diag(sigma) U.T``
-    gives ``A = U diag(sigma) (Q P).T``."""
+    factor: only R of ``A.T = Q R`` is formed (:func:`qr_r`), and
+    ``R = P diag(sigma) U.T`` gives ``A = U diag(sigma) (Q P).T``."""
     A = _as_matrix(A)
     try:
-        _, s, Ut = np.linalg.svd(np.linalg.qr(A.T, mode="r"), full_matrices=False)
+        _, s, Ut = np.linalg.svd(qr_r(A.T), full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return Ut.T, s, _rank(s, A.shape, 1e-12)
+    return Ut.T, s, _rank(s, A.shape)
 
 
 def truncated_svd(A, k):

@@ -10,7 +10,6 @@ coincide: ``||qhat - p*q||^2 = 2 - 2|<qhat, q>|`` at the optimal sign.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -48,6 +47,9 @@ def align_columns(est, truth):
     then multiplied by ``conj(z)/|z|`` with ``z = <est, truth>`` so the
     residual inner product is real nonnegative.
     """
+    # imported here, so that import dmdsep does not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     est = np.asarray(est)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:

@@ -13,7 +13,6 @@ documented algorithm), so every dataset is reproducible from its seed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 def _rng(seed):
@@ -115,6 +114,9 @@ def gen_arma(spec, n, seed):
     is discarded, which bounds the initialization transient.  Innovations
     are iid standard normal times ``innovation_std``.
     """
+    # imported here, so that import dmdsep does not load scipy.signal
+    from scipy.signal import lfilter
+
     order = max(len(spec.ar_coeffs), len(spec.ma_coeffs))
     burn = max(100, 10 * order)
     e = _rng(seed).standard_normal(n + burn) * spec.innovation_std

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dmdsep
 from dmdsep import cli, experiments, metrics, plots, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
 from dmdsep.experiments import AUDIO_DEMO_Q, default_config, run_experiment
@@ -313,3 +319,20 @@ class TestEmitPlots:
         path = self._records(tmp_path, "eigenwalker")
         assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 0
         assert main(["plots", str(tmp_path / "nope.csv")]) == 1
+
+
+def test_import_skips_slow_scipy_modules():
+    # every CLI call pays the package import; scipy.signal, scipy.optimize
+    # and scipy.stats are loaded only by the functions that use them
+    env = dict(os.environ)
+    src = str(Path(dmdsep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, dmdsep; "
+        "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

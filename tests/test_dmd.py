@@ -226,6 +226,67 @@ class TestReducedKernelOracle:
         assert sorted(np.argmax(np.abs(fit.eig.vectors), axis=0)) == [1, 2]
 
 
+@st.composite
+def multi_lag_series(draw):
+    """``(X, taus, k)`` for a shared fit at lags 1, 2 and 3 in a drawn order,
+    with n up to 200 > 10p, so that, with the TSQR entry floor lifted, the
+    R of the shared prefix is formed from several blocks."""
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(6, 200))
+    rank = draw(st.integers(1, p))
+    noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    k = draw(st.integers(1, min(p, n - 3)))
+    taus = tuple(draw(st.permutations((1, 2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+    return X + noise * rng.standard_normal((p, n)), taus, k
+
+
+class TestSharedLagFits:
+    """``dmd_fits`` against ``dmd_fit`` at each lag and the dense oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(multi_lag_series())
+    def test_matches_single_lag_fits_and_dense_propagator(self, case):
+        X, taus, k = case
+        ranks = [linalg.svd(X[:, : X.shape[1] - tau]).rank for tau in taus]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "TSQR_MIN_ENTRIES", 0)  # blocks of 10p rows
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fits = list(dmd.dmd_fits(X, taus, k, keep_operator=True))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                singles = [dmd.dmd_fit(X, tau, k, keep_operator=True) for tau in taus]
+        warned = sum("numerical rank" in str(w.message) for w in caught)
+        assert warned == sum(r < k for r in ranks)
+        assert [fit.tau for fit in fits] == list(taus)
+        for tau, fit, single, r in zip(taus, fits, singles, ranks):
+            A, dense, scale = dense_oracle(X, tau)
+            assert fit.rank == single.rank == min(r, k)
+            assert np.abs(fit.a_hat - A).max() <= 1e-8 * scale
+            assert np.abs(fit.a_hat - single.a_hat).max() <= 1e-8 * scale
+            V, lam = fit.eig.vectors, fit.eig.values
+            assert np.allclose(np.linalg.norm(V, axis=0), 1.0)
+            assert np.linalg.norm(A @ V - V * lam, axis=0).max() <= 1e-9 * scale
+            if not top_k_is_unambiguous(dense.values, k, scale):
+                continue
+            assert np.abs(lam - dense.values[:k]).max() <= 1e-9 * scale
+            assert np.abs(lam - single.eig.values).max() <= 1e-9 * scale
+            for j in range(k):
+                if simple_nonzero(dense.values, j, scale):
+                    assert phase_gap(V[:, j], dense.vectors[:, j]) <= 1e-8
+                    assert phase_gap(V[:, j], single.eig.vectors[:, j]) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "taus, k, match", [((), 1, "taus"), ((1, 9), 1, "lag"), ((1, 2), 4, "k=")]
+    )
+    def test_rejects_bad_lags_and_k_before_fitting(self, taus, k, match):
+        fits = dmd.dmd_fits(np.ones((3, 10)), taus, k)
+        with pytest.raises(ValueError, match=match):
+            next(fits)
+
+
 class TestFillIn:
     def test_matches_truncated_svd_reconstruction(self):
         rng = np.random.default_rng(7)

@@ -72,6 +72,64 @@ class TestLeftSvd:
         assert linalg.left_svd(A)[2] == 2
         assert linalg.left_svd(np.zeros((3, 8)))[2] == 0
 
+    # TSQR blocks hold max(10p, 2**15 // p) rows of A.T; the shapes cover
+    # one block, n = 10p - 1, 10p and 10p + 1 (a last block of one row),
+    # two blocks, many blocks with a last block shorter than p, the 2**15
+    # entry floor of a small p on both sides of its edge, and a wide A
+    BLOCKED_SHAPES = [
+        (60, 300), (60, 599), (60, 600), (60, 601), (60, 1150), (60, 6047),
+        (4, 8192), (4, 8193), (2, 40000), (9, 5),
+    ]
+
+    @pytest.mark.parametrize("rows, cols", BLOCKED_SHAPES)
+    def test_blocked_matches_svd(self, rows, cols):
+        A = random_matrix(np.random.default_rng(rows * cols), rows, cols)
+        full = linalg.svd(A)
+        U, sigma, rank = linalg.left_svd(A)
+        assert rank == full.rank
+        assert np.abs(sigma - full.sigma).max() <= 1e-12 * full.sigma[0]
+        # distinct singular values: columns agree up to sign
+        assert np.allclose(np.abs(np.sum(U * full.U, axis=0)), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("cols", [601, 1150, 6047])
+    def test_blocked_rank_deficient(self, cols):
+        rng = np.random.default_rng(cols)
+        A = rng.standard_normal((60, 2)) @ rng.standard_normal((2, cols))
+        full = linalg.svd(A)
+        U, sigma, rank = linalg.left_svd(A)
+        assert rank == full.rank == 2
+        assert np.abs(sigma - full.sigma).max() <= 1e-12 * full.sigma[0]
+        assert np.allclose(np.abs(np.sum(U[:, :2] * full.U[:, :2], axis=0)), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("rows, cols", [(60, 599), (60, 600), (4, 8192)])
+    def test_single_block_is_one_householder_qr(self, rows, cols):
+        A = random_matrix(np.random.default_rng(cols), rows, cols)
+        _, s, Ut = np.linalg.svd(np.linalg.qr(A.T, mode="r"), full_matrices=False)
+        U, sigma, _ = linalg.left_svd(A)
+        assert np.array_equal(U, Ut.T)
+        assert np.array_equal(sigma, s)
+
+
+class TestQrR:
+    @pytest.mark.parametrize(
+        "rows, cols", [(600, 60), (601, 60), (6047, 60), (8193, 4), (40000, 2), (3, 8)]
+    )
+    def test_matches_householder_up_to_row_signs(self, rows, cols):
+        M = random_matrix(np.random.default_rng(rows + cols), rows, cols)
+        R = linalg.qr_r(M)
+        ref = np.linalg.qr(M, mode="r")
+        assert R.shape == ref.shape
+        assert np.array_equal(R, np.triu(R))
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
+        scale = np.abs(ref).max()
+        assert np.abs(R - signs[:, None] * ref).max() <= 1e-12 * scale
+
+    def test_rejects_non_finite(self):
+        M = np.ones((100, 3))
+        M[77, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            linalg.qr_r(M)
+
 
 class TestTruncatedSvd:
     def test_full_rank_identity(self):

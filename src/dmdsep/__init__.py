@@ -14,12 +14,10 @@ from .baselines import UnmixResult, amuse, pca_unmix
 from .dmd import (
     DmdResult,
     DmfResult,
-    LagPair,
     dmd_fit,
     dmd_fits,
     dmf,
     left_vectors,
-    make_lag_pair,
     recover_signals,
     tsvd_dmd_fit,
 )
@@ -44,7 +42,6 @@ from .linalg import (
     eig_symmetric,
     pinv,
     svd,
-    truncated_svd,
 )
 from .metrics import Alignment, align_columns, eig_error, rate_fit, s_error
 from .plots import emit_plots
@@ -73,7 +70,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "LagCov",
-    "LagPair",
     "MaskSpec",
     "NumericalError",
     "SourceModel",
@@ -99,7 +95,6 @@ __all__ = [
     "gen_cosines",
     "lag_cov",
     "left_vectors",
-    "make_lag_pair",
     "pca_unmix",
     "pinv",
     "rate_fit",
@@ -107,6 +102,5 @@ __all__ = [
     "run_experiment",
     "s_error",
     "svd",
-    "truncated_svd",
     "tsvd_dmd_fit",
 ]

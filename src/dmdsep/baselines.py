@@ -21,7 +21,6 @@ class UnmixResult:
 
     Q_hat: np.ndarray
     S_hat: np.ndarray
-    method: str
 
 
 def whiten_top_k(X, k):
@@ -73,7 +72,7 @@ def amuse(X, tau, k):
     Q_hat = Q_hat / np.linalg.norm(Q_hat, axis=0)
     S_hat = (G.T @ Y).T
     S_hat = S_hat / np.linalg.norm(S_hat, axis=0)
-    return UnmixResult(Q_hat=Q_hat, S_hat=S_hat, method="amuse")
+    return UnmixResult(Q_hat=Q_hat, S_hat=S_hat)
 
 
 def pca_unmix(X, k):
@@ -86,6 +85,6 @@ def pca_unmix(X, k):
     if not 1 <= k <= min(X.shape):
         raise ValueError(f"k={k} outside [1, {min(X.shape)}]")
     Xc = X - X.mean(axis=1, keepdims=True)
-    res = linalg.truncated_svd(Xc, k)
-    S_hat = res.V / np.linalg.norm(res.V, axis=0)
-    return UnmixResult(Q_hat=res.U, S_hat=S_hat, method="pca")
+    U_k = linalg.left_svd(Xc)[0][:, :k]
+    S_hat = Xc.T @ U_k  # = V_k diag(sigma_k)
+    return UnmixResult(Q_hat=U_k, S_hat=S_hat / np.linalg.norm(S_hat, axis=0))

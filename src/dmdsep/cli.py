@@ -15,54 +15,61 @@ from .experiments import SUITES, default_config, run_experiment, summarize
 from .plots import emit_plots
 
 
-def _parse_cell(raw, line_no, col, fill_missing):
-    raw = raw.strip()
-    if raw == "":
-        if not fill_missing:
-            raise ValueError(
-                f"line {line_no}: empty cell in column {col + 1} "
-                "(rerun with --fill-missing to treat it as missing data)"
-            )
-        return np.nan
+def _parse_cell(raw, line_no, col):
     try:
-        return float(raw)
+        return float(raw) if raw.strip() else np.nan
     except ValueError:
         raise ValueError(
-            f"line {line_no}: non-numeric cell {raw!r} in column {col + 1}"
+            f"line {line_no}: non-numeric cell {raw.strip()!r} in column {col + 1}"
         ) from None
+
+
+def _numbered_lines(path):
+    """Yield ``(line number, line)`` of a UTF-8 text file; bytes that are
+    not UTF-8 raise a ``ValueError`` naming their line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+                if raw.decode(errors="replace").encode() != raw:
+                    raise ValueError(f"{path} line {line_no}: not UTF-8 text") from None
+        raise
 
 
 def read_timeseries_csv(path, fill_missing=False):
     """Parse a time-major numeric CSV (rows = samples, columns = channels).
 
-    Returns ``(data, missing_mask)`` with shape (n, p).  Empty cells are
-    allowed only when ``fill_missing`` is set; structural problems are
-    reported with the offending line number.
+    Returns ``(data, missing_mask)`` with shape (n, p).  Missing cells
+    (empty or ``nan``) are allowed only when ``fill_missing`` is set, other
+    non-finite cells (``inf``, ``1e999``) never; errors name their line.
     """
-    rows = []
+    rows, line_nos = [], []
     width = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.strip() == "":
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(
-                    f"line {line_no}: expected {width} cells, found {len(cells)}"
-                )
-            rows.append(
-                [
-                    _parse_cell(raw, line_no, col, fill_missing)
-                    for col, raw in enumerate(cells)
-                ]
-            )
+    for line_no, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if line.strip() == "":
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ValueError(f"line {line_no}: expected {width} cells, found {len(cells)}")
+        rows.append([_parse_cell(raw, line_no, col) for col, raw in enumerate(cells)])
+        line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    # one check of the parsed array, not one per cell: parsing is the hot loop
     data = np.asarray(rows, dtype=float)
-    return data, np.isnan(data)
+    missing = np.isnan(data)
+    bad = np.isinf(data) | (missing & (not fill_missing))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        hint = " (rerun with --fill-missing to treat it as missing data)"
+        kind, hint = ("empty or nan", hint) if missing[row, col] else ("non-finite", "")
+        raise ValueError(f"line {line_nos[row]}: {kind} cell in column {col + 1}{hint}")
+    return data, missing
 
 
 def _write_csv(path, header, rows):
@@ -146,17 +153,16 @@ def _parse_value(key, raw, where):
 def load_config_file(path):
     """Parse a declarative ``key = value`` config file into a dict."""
     values = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {line_no}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw, f"{path} line {line_no}")
+    for line_no, line in _numbered_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path} line {line_no}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
+        values[key] = _parse_value(key, raw, f"{path} line {line_no}")
     return values
 
 

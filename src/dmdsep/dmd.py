@@ -1,4 +1,4 @@
-"""Lag-pair propagator estimators and the full factorization pipeline.
+"""Lag-tau propagator estimators and the full factorization pipeline.
 
 The central object is the least-squares propagator ``A = X1 @ pinv(X0)``
 for snapshot matrices offset by ``tau`` time steps.  When the latent unit
@@ -19,16 +19,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import ComplexEig
-
-
-@dataclass
-class LagPair:
-    """Snapshot matrices offset by ``tau`` columns: X0[:, j] = X[:, j],
-    X1[:, j] = X[:, j + tau]."""
-
-    X0: np.ndarray
-    X1: np.ndarray
-    tau: int
 
 
 @dataclass
@@ -62,15 +52,6 @@ class DmfResult:
     mu_hat: np.ndarray
     eigvals: np.ndarray
     mean_residual: float
-
-
-def make_lag_pair(X, tau):
-    """Split ``X`` into snapshot matrices ``tau`` steps apart."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    if not 1 <= tau <= n - 2:
-        raise ValueError(f"lag tau={tau} outside [1, {n - 2}] for n={n} samples")
-    return LagPair(X0=X[:, : n - tau], X1=X[:, tau:], tau=tau)
 
 
 def dmd_fit(X, tau, k, keep_operator=False):
@@ -108,20 +89,24 @@ def dmd_fits(X, taus, k, keep_operator=False):
     columns, so R of that prefix (``X0_pre^T = Q R``, :func:`linalg.qr_r`)
     is formed once.  Then ``X0^T = diag(Q, I) [R; E^T]`` for the
     ``max(taus) - tau`` extra columns E of each lag, and the left singular
-    pairs of X0 are those of the p x (p + max(taus) - tau) matrix
-    ``[R^T, E]``.  Every lag and k are checked before the first fit.
+    pairs of X0 are those of ``[R^T, E]`` (of R itself at ``max(taus)``).
+    Every lag and k are checked before the first fit.
     """
     X = np.asarray(X, dtype=float)
     if not taus:
         raise ValueError("taus must be nonempty")
-    pairs = [make_lag_pair(X, tau) for tau in taus]
-    p, m_pre = X.shape[0], X.shape[1] - max(taus)
+    p, n = X.shape
+    for tau in taus:
+        if not 1 <= tau <= n - 2:
+            raise ValueError(f"lag tau={tau} outside [1, {n - 2}] for n={n} samples")
+    m_pre = n - max(taus)
     if not 1 <= k <= min(p, m_pre):
         raise ValueError(f"k={k} outside [1, {min(p, m_pre)}] for p={p}, n-tau={m_pre}")
     R = linalg.qr_r(X[:, :m_pre].T)
-    for pair in pairs:
-        U, sigma, _ = linalg.left_svd(np.hstack([R.T, pair.X0[:, m_pre:]]))
-        r = linalg._rank(sigma, pair.X0.shape)
+    for tau in taus:
+        X0, X1 = X[:, : n - tau], X[:, tau:]
+        R0 = R if n - tau == m_pre else linalg.qr_r(np.vstack([R, X0[:, m_pre:].T]))
+        U, sigma, r = linalg._left_svd_of_r(R0, X0.shape)
         if r < k:
             warnings.warn(
                 f"snapshot matrix has numerical rank {r} < requested k={k}; "
@@ -130,7 +115,7 @@ def dmd_fits(X, taus, k, keep_operator=False):
             )
         U_r = U[:, :r]
         # X0^T U_r S_r^-2 = V_r S_r^-1, so V_r is never formed on its own
-        B = pair.X1 @ (pair.X0.T @ (U_r / sigma[:r] ** 2))
+        B = X1 @ (X0.T @ (U_r / sigma[:r] ** 2))
         small = linalg.eig_nonsymmetric(U_r.T @ B)
         values, w = small.values[:k], small.vectors[:, :k]
         modes = B @ w
@@ -141,7 +126,7 @@ def dmd_fits(X, taus, k, keep_operator=False):
             vectors=linalg._phase_fix(np.hstack([modes, U[:, r:k]])),
         )
         a_hat = B @ U_r.T if keep_operator else None
-        yield DmdResult(eig=eig, tau=pair.tau, rank=min(r, k), a_hat=a_hat)
+        yield DmdResult(eig=eig, tau=tau, rank=min(r, k), a_hat=a_hat)
 
 
 def tsvd_dmd_fit(X_masked, q, tau, k):
@@ -183,13 +168,13 @@ def left_vectors(Q_hat):
     return linalg.pinv(Q_hat)
 
 
-def recover_signals(X, left_vecs, imag_tol=1e-6):
+def recover_signals(X, left_vecs):
     """Recover unit-norm latent signals by projecting onto the left eigenvectors.
 
     ``left_vecs`` must be the rows of the pseudoinverse of the estimated
     mode matrix (see :func:`left_vectors`).  Each projected column is
     phase-rotated to be as real as possible; if the residual imaginary
-    energy exceeds ``imag_tol`` times the column norm a warning is issued
+    energy exceeds 1e-6 times the column norm a warning is issued
     (genuinely complex modes mean the sources are not real-separable) and
     the real part is taken regardless.
     """
@@ -207,7 +192,7 @@ def recover_signals(X, left_vecs, imag_tol=1e-6):
             if abs(m) > 0:
                 z = z * np.exp(-0.5j * np.angle(m))
             residue = np.linalg.norm(z.imag)
-            if residue > imag_tol * np.linalg.norm(z):
+            if residue > 1e-6 * np.linalg.norm(z):
                 warnings.warn(
                     f"recovered signal {j} has imaginary residue "
                     f"{residue:.3e}; modes appear genuinely complex",

@@ -16,7 +16,6 @@ may depend on.  Mixing matrices depend only on the trial index, never on
 n or q, so grid cells within a trial are paired.
 """
 
-import contextlib
 import hashlib
 import time
 import warnings
@@ -328,13 +327,6 @@ SUITE_TABLE = {
 SUITES = tuple(SUITE_TABLE)
 
 
-@contextlib.contextmanager
-def _warnings_silenced():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        yield
-
-
 def run_experiment(cfg):
     """Run one suite and return its records in deterministic cell order.
 
@@ -348,7 +340,9 @@ def run_experiment(cfg):
     cfg.validate()
     row = SUITE_TABLE[cfg.suite]
     records = []
-    with _warnings_silenced() if row.quiet else contextlib.nullcontext():
+    with warnings.catch_warnings():
+        if row.quiet:
+            warnings.simplefilter("ignore")
         for n, q, trial, model, X, tag in row.cells(cfg):
             fits = {m: _METHODS[m](X, q, cfg.tau_list, cfg.k) for m in row.methods}
             for tau in cfg.tau_list:
@@ -410,16 +404,16 @@ def read_records(path):
     return records
 
 
-def mean_errors(records, field="q_sq_error", by=("method", "tau")):
-    """Trial-averaged errors keyed by series label and grid coordinate.
+def mean_errors(records, field="q_sq_error"):
+    """Trial-averaged errors keyed by series and grid coordinate.
 
-    Returns ``{series_key: {x_value: mean_error}}`` with the x-axis chosen
-    per suite (q for the missing-q suite, n otherwise).
+    Returns ``{(method, tau): {x_value: mean_error}}`` with the x-axis
+    chosen per suite (q for the missing-q suite, n otherwise).
     """
     out = {}
     for rec in records:
         x = rec.q if rec.suite == "missing-q" else rec.n
-        key = tuple(getattr(rec, b) for b in by)
+        key = (rec.method, rec.tau)
         out.setdefault(key, {}).setdefault(x, []).append(getattr(rec, field))
     return {
         key: {x: float(np.mean(v)) for x, v in sorted(cells.items())}

@@ -30,7 +30,7 @@ class SvdResult:
     """Thin SVD ``A = U @ diag(sigma) @ V.T`` with a numerical-rank estimate.
 
     ``sigma`` is descending; ``rank`` counts the singular values above the
-    relative cutoff used by :func:`pinv`.
+    cutoff set by ``RANK_TOL``.
     """
 
     U: np.ndarray
@@ -57,35 +57,26 @@ class ComplexEig:
 # small for its QR to outweigh the cost of the call
 TSQR_BLOCK = 10
 TSQR_MIN_ENTRIES = 2**15
+# the numerical rank of a p x n matrix counts singular values above
+# RANK_TOL * sigma[0] * max(p, n); see eig_symmetric for SYM_TOL
+RANK_TOL, SYM_TOL = 1e-12, 1e-10
 
 
-def _rank(sigma, shape, rel_tol=1e-12):
+def _rank(sigma, shape):
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    return int(np.sum(sigma > rel_tol * sigma[0] * max(shape)))
+    return int(np.sum(sigma > RANK_TOL * sigma[0] * max(shape)))
 
 
-def svd(A, rel_tol=1e-12):
-    """Thin singular value decomposition with deterministic output.
-
-    Parameters
-    ----------
-    A : (p, n) array, real or complex
-    rel_tol : float
-        Relative threshold for the numerical-rank estimate: singular
-        values at or below ``rel_tol * sigma[0] * max(p, n)`` do not count
-        towards ``rank``.
-    """
+def svd(A):
+    """Thin singular value decomposition of a real or complex matrix, with
+    the numerical rank (see ``RANK_TOL``)."""
     A = _as_matrix(A, dtype=complex if np.iscomplexobj(A) else float)
-    # LAPACK reduces a tall matrix (QR first) about twice as fast as a wide
-    # one (LQ first), so a wide A is decomposed as A.T = V diag(s) U.T
-    tall = A.shape[0] >= A.shape[1]
     try:
-        L, s, Rt = np.linalg.svd(A if tall else A.T, full_matrices=False)
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    U, V = (L, Rt.T) if tall else (Rt.T, L)
-    return SvdResult(U=U, sigma=s, V=V, rank=_rank(s, A.shape, rel_tol))
+    return SvdResult(U=U, sigma=s, V=Vh.T, rank=_rank(s, A.shape))
 
 
 def qr_r(M):
@@ -108,34 +99,23 @@ def left_svd(A):
     factor: only R of ``A.T = Q R`` is formed (:func:`qr_r`), and
     ``R = P diag(sigma) U.T`` gives ``A = U diag(sigma) (Q P).T``."""
     A = _as_matrix(A)
-    try:
-        _, s, Ut = np.linalg.svd(qr_r(A.T), full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return Ut.T, s, _rank(s, A.shape)
+    return _left_svd_of_r(qr_r(A.T), A.shape)
 
 
-def truncated_svd(A, k):
-    """Top-``k`` singular triple; the rank-k reconstruction is the best
-    Frobenius approximation (Eckart-Young)."""
-    A = _as_matrix(A)
-    if not 1 <= k <= min(A.shape):
-        raise ValueError(f"k={k} out of range for shape {A.shape}")
-    full = svd(A)
-    return SvdResult(U=full.U[:, :k], sigma=full.sigma[:k], V=full.V[:, :k], rank=k)
+def _left_svd_of_r(R, shape):
+    # (U, sigma, rank) of a matrix A of the given shape from R of A.T = Q R
+    res = svd(R)
+    return res.V, res.sigma, _rank(res.sigma, shape)
 
 
-def pinv(A, rel_tol=1e-12):
+def pinv(A):
     """Moore-Penrose pseudoinverse via SVD, of a real or complex matrix.
 
-    Singular values at or below ``rel_tol * sigma_max * max(rows, cols)``
-    are treated as exact zeros; this is the standard numerical-rank
-    convention and keeps noise directions of low-rank data from being
+    Singular values below the numerical-rank cutoff (``RANK_TOL``) are
+    treated as exact zeros, so noise directions of low-rank data are not
     amplified by 1/sigma.  Rank 0 gives the transposed zero matrix.
     """
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be nonnegative")
-    res = svd(A, rel_tol=rel_tol)
+    res = svd(A)
     r = res.rank
     return (res.V[:, :r].conj() / res.sigma[:r]) @ res.U[:, :r].conj().T
 
@@ -181,24 +161,23 @@ def eig_nonsymmetric(A):
     return ComplexEig(values=values[order], vectors=_phase_fix(vectors[:, order]))
 
 
-def eig_symmetric(A, sym_tol=1e-10):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def eig_symmetric(A):
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending,
+    eigenvectors with the sign convention of :func:`eig_nonsymmetric`.
 
-    Rejects input whose asymmetry exceeds ``sym_tol * (1 + max|A|)``.
+    Rejects input whose asymmetry exceeds ``SYM_TOL * (1 + max|A|)``.
     """
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     scale = 1.0 + (np.abs(A).max() if A.size else 0.0)
     asym = np.abs(A - A.T).max() if A.size else 0.0
-    if asym > sym_tol * scale:
+    if asym > SYM_TOL * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     values, vectors = np.linalg.eigh((A + A.T) / 2.0)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    # sign convention as in _phase_fix, restricted to the real case
-    for j in range(vectors.shape[1]):
-        a = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[a, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return values, vectors
+    vectors = vectors[:, ::-1]
+    if vectors.size:  # the sign convention of _phase_fix, without renormalizing
+        anchors = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+        vectors = vectors * np.where(anchors < 0.0, -1.0, 1.0)
+    return values[::-1], vectors
 

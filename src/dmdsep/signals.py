@@ -147,12 +147,12 @@ def gen_changepoint_suite(n, seed):
     return np.column_stack([c1, c2, c3, c4])
 
 
-def random_unit_columns(p, k, seed, max_cond=1e6):
+def random_unit_columns(p, k, seed):
     """``k`` unit vectors sampled uniformly from the sphere in R^p.
 
     Redraws (from the same stream) in the measure-zero event that the
-    columns are ill-conditioned, so the result is always usable as a
-    mixing matrix.
+    columns are ill-conditioned (condition number above 1e6), so the
+    result is always usable as a mixing matrix.
     """
     if k > p:
         raise ValueError(f"cannot draw k={k} independent directions in R^{p}")
@@ -160,7 +160,7 @@ def random_unit_columns(p, k, seed, max_cond=1e6):
     for _ in range(64):
         Q = gen.standard_normal((p, k))
         Q /= np.linalg.norm(Q, axis=0)
-        if k == 1 or np.linalg.cond(Q) <= max_cond:
+        if k == 1 or np.linalg.cond(Q) <= 1e6:
             return Q
     raise RuntimeError("failed to draw a well-conditioned mixing matrix")
 

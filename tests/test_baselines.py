@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmdsep import baselines, metrics, signals
+from dmdsep import baselines, linalg, metrics, signals
 from dmdsep.experiments import eigenwalker_model
 
 
@@ -86,6 +86,20 @@ class TestPcaUnmix:
         assert q_err >= 0.1
         assert q_err == pytest.approx(1.3136, abs=0.01)
         assert s_err == pytest.approx(1.1702, abs=0.01)
+
+    @pytest.mark.parametrize("shape", [(8, 300), (40, 30)])
+    def test_matches_top_singular_vectors(self, shape):
+        # oracle: top-k U and V of the thin SVD of the de-meaned data, whose
+        # singular values are distinct (so each pair is unique up to sign)
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal(shape) * np.linspace(3.0, 1.0, shape[1]) + 5.0
+        k = 3
+        res = baselines.pca_unmix(X, k)
+        full = linalg.svd(X - X.mean(axis=1, keepdims=True))
+        assert np.all(np.diff(full.sigma[: k + 1]) < -1e-3 * full.sigma[0])
+        signs = np.sign(np.sum(res.Q_hat * full.U[:, :k], axis=0))
+        assert np.abs(res.Q_hat - full.U[:, :k] * signs).max() <= 1e-10
+        assert np.abs(res.S_hat - full.V[:, :k] * signs).max() <= 1e-10
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="k="):

@@ -1,10 +1,14 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dmdsep
 from dmdsep import cli, experiments, metrics, plots, signals
@@ -52,6 +56,24 @@ class TestReadTimeseriesCsv:
         data, missing = read_timeseries_csv(str(path), fill_missing=True)
         assert missing[1, 0]
         assert data[0, 1] == 2.0
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan", "NaN"])
+    @pytest.mark.parametrize("fill_missing", [False, True])
+    def test_non_finite_cell_names_line(self, tmp_path, cell, fill_missing):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n3,4\n\n5,{cell}\n6,7\n")
+        if fill_missing and cell.lower() == "nan":
+            data, missing = read_timeseries_csv(str(path), fill_missing=True)
+            assert missing.sum() == 1 and missing[2, 1]
+            return
+        with pytest.raises(ValueError, match="line 4: .* cell in column 2"):
+            read_timeseries_csv(str(path), fill_missing=fill_missing)
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n" * 5000 + b"3,\xff4\n5,6\n")
+        with pytest.raises(ValueError, match="line 5001: not UTF-8"):
+            read_timeseries_csv(str(path))
 
 
 class TestUnmixCsv:
@@ -121,6 +143,128 @@ class TestUnmixCsv:
         (tmp_path / "two.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
         with pytest.raises(ValueError, match="k=5"):
             unmix_csv(str(tmp_path / "two.csv"), str(tmp_path / "x"), tau=1, k=5)
+
+
+CSV_TOKENS = [
+    "0", "1.5", "-2e3", " 7 ", "\t8", "", "  ", "nan", "NaN", "inf", "-inf",
+    "1e999", "oops", "1.2.3", ",", "x,", "\xe9",
+]
+
+
+def csv_offending_lines(lines, fill_missing):
+    """Lines the reader must reject, or None when the file has no data."""
+    offending, width, seen = set(), None, False
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip() == "":
+            continue
+        seen = True
+        cells = line.split(",")
+        width = len(cells) if width is None else width
+        if len(cells) != width:
+            offending.add(line_no)
+        for cell in cells:
+            try:
+                value = float(cell) if cell.strip() else float("nan")
+            except ValueError:
+                offending.add(line_no)
+                continue
+            if np.isinf(value) or (np.isnan(value) and not fill_missing):
+                offending.add(line_no)
+    return offending if seen else None
+
+
+def named_line(exc):
+    return int(re.search(r"line (\d+)", str(exc)).group(1))
+
+
+class TestReaderFuzz:
+    """Random files: the readers return clean data or reject a bad line by
+    number, with nothing else escaping."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        grid=st.lists(
+            st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=4), max_size=8
+        ),
+        raw_line=st.one_of(st.none(), st.integers(0, 7)),
+        fill_missing=st.booleans(),
+    )
+    def test_csv_reader(self, tmp_path, grid, raw_line, fill_missing):
+        lines = [",".join(row) for row in grid]
+        payload = [line.encode() for line in lines]
+        if raw_line is not None and raw_line < len(payload):
+            payload[raw_line] += b"\xff"  # not UTF-8
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(b"".join(line + b"\n" for line in payload))
+        offending = csv_offending_lines(lines, fill_missing)
+        if raw_line is not None and raw_line < len(payload):
+            offending = (offending or set()) | {raw_line + 1}
+        try:
+            data, missing = read_timeseries_csv(str(path), fill_missing=fill_missing)
+        except ValueError as exc:
+            if offending is None:
+                assert "no data rows" in str(exc)
+            else:
+                assert named_line(exc) in offending, str(exc)
+            return
+        assert offending == set()
+        assert np.array_equal(missing, np.isnan(data))
+        assert np.all(np.isfinite(data[~missing]))
+        assert fill_missing or not missing.any()
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(list(cli._CONFIG_KEYS) + ["", "wat", "# k"]),
+                st.sampled_from(["=", " = ", "", "=="]),
+                st.sampled_from(
+                    ["3", "-1", "0.5", "1,2", " 4 , 5 ", "", "nan", "inf", "soon",
+                     "2 # note", "1e999", "\xe9"]
+                ),
+            ),
+            max_size=6,
+        ),
+        raw_line=st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_config_reader(self, tmp_path, entries, raw_line):
+        lines = [key + sep + value for key, sep, value in entries]
+        payload = [line.encode() for line in lines]
+        offending = set()
+        for line_no, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or key not in cli._CONFIG_KEYS:
+                offending.add(line_no)
+                continue
+            try:
+                cli._CONFIG_KEYS[key][0](value)
+            except ValueError:
+                offending.add(line_no)
+        if raw_line is not None and raw_line < len(payload):
+            payload[raw_line] += b"\xc3"  # a truncated two-byte sequence
+            offending.add(raw_line + 1)
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(b"".join(line + b"\n" for line in payload))
+        try:
+            values = load_config_file(str(path))
+        except ValueError as exc:
+            assert named_line(exc) in offending, str(exc)
+            return
+        assert offending == set()
+        assert set(values) <= set(cli._CONFIG_KEYS)
 
 
 class TestConfigFile:
@@ -233,6 +377,16 @@ class TestMainExitCodes:
         path.write_text("1,2\n3\n")
         code = main(["unmix", str(path), "--out-prefix", str(tmp_path / "o")])
         assert code == 1
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [b"inf", b"1e999", b"\xff"])
+    def test_unreadable_cell_is_exit_1_without_warnings(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3," + cell + b"\n4,5\n6,7\n")
+        argv = ["unmix", str(path), "--fill-missing", "--out-prefix", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
         assert "line 2" in capsys.readouterr().err
 
     def test_unmix_success(self, tmp_path):

@@ -16,27 +16,6 @@ def normal_equations_propagator(X, tau):
     return X1 @ X0.T @ np.linalg.inv(X0 @ X0.T)
 
 
-class TestMakeLagPair:
-    def test_smallest_case(self):
-        X = np.arange(6.0).reshape(2, 3)
-        pair = dmd.make_lag_pair(X, 1)
-        assert np.array_equal(pair.X0, X[:, :2])
-        assert np.array_equal(pair.X1, X[:, 1:])
-
-    def test_index_arithmetic(self):
-        X = np.arange(30.0).reshape(3, 10)
-        pair = dmd.make_lag_pair(X, 2)
-        assert pair.X0.shape == (3, 8)
-        assert np.array_equal(pair.X1[:, 0], X[:, 2])
-
-    def test_rejects_boundary_lag(self):
-        X = np.zeros((2, 5))
-        with pytest.raises(ValueError, match="tau"):
-            dmd.make_lag_pair(X, 4)
-        with pytest.raises(ValueError, match="tau"):
-            dmd.make_lag_pair(X, 0)
-
-
 class TestDmdFit:
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(0)
@@ -279,7 +258,14 @@ class TestSharedLagFits:
                     assert phase_gap(V[:, j], single.eig.vectors[:, j]) <= 1e-8
 
     @pytest.mark.parametrize(
-        "taus, k, match", [((), 1, "taus"), ((1, 9), 1, "lag"), ((1, 2), 4, "k=")]
+        "taus, k, match",
+        [
+            ((), 1, "taus"),
+            ((1, 9), 1, "lag"),
+            ((1, 2), 4, "k="),
+            ((0,), 1, "tau=0"),
+            ((9,), 1, "tau=9"),
+        ],
     )
     def test_rejects_bad_lags_and_k_before_fitting(self, taus, k, match):
         fits = dmd.dmd_fits(np.ones((3, 10)), taus, k)
@@ -292,8 +278,9 @@ class TestFillIn:
         rng = np.random.default_rng(7)
         for shape, k in (((6, 40), 2), ((40, 6), 3), ((30, 200), 5)):
             X = rng.standard_normal(shape)
-            ts = linalg.truncated_svd(X, k)
-            assert np.abs(dmd.fill_in(X, k) - (ts.U * ts.sigma) @ ts.V.T).max() <= 1e-10
+            res = linalg.svd(X)
+            best = (res.U[:, :k] * res.sigma[:k]) @ res.V[:, :k].T  # Eckart-Young
+            assert np.abs(dmd.fill_in(X, k) - best).max() <= 1e-10
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_rejects_bad_rank(self, k):

@@ -131,40 +131,6 @@ class TestQrR:
             linalg.qr_r(M)
 
 
-class TestTruncatedSvd:
-    def test_full_rank_identity(self):
-        res = linalg.truncated_svd(np.eye(3), 3)
-        assert np.allclose(res.U * res.sigma @ res.V.T, np.eye(3), atol=1e-12)
-
-    def test_rank_one_exact(self):
-        u = np.array([1.0, -2.0, 0.5])
-        v = np.array([0.3, 1.1])
-        A = np.outer(u, v)
-        res = linalg.truncated_svd(A, 1)
-        assert np.linalg.norm(res.U * res.sigma @ res.V.T - A) <= 1e-10
-
-    def test_eckart_young_residual(self):
-        A = np.diag([3.0, 2.0, 1.0])
-        res = linalg.truncated_svd(A, 2)
-        resid = np.linalg.norm(A - res.U * res.sigma @ res.V.T)
-        assert abs(resid - 1.0) <= 1e-12
-
-    def test_best_rank_k(self):
-        # truncation must beat any other rank-k candidate in Frobenius norm
-        rng = np.random.default_rng(1)
-        A = random_matrix(rng, 6, 8)
-        res = linalg.truncated_svd(A, 2)
-        best = np.linalg.norm(A - res.U * res.sigma @ res.V.T)
-        for _ in range(25):
-            B = random_matrix(rng, 6, 2) @ random_matrix(rng, 2, 8)
-            assert best <= np.linalg.norm(A - B) + 1e-12
-
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_k_out_of_range(self, k):
-        with pytest.raises(ValueError, match="out of range"):
-            linalg.truncated_svd(np.eye(3), k)
-
-
 def mp_conditions(A, P):
     checks = [
         np.linalg.norm(A @ P @ A - A),
@@ -222,10 +188,6 @@ class TestPinv:
         P = linalg.pinv(np.zeros((2, 3), dtype=complex))
         assert P.shape == (3, 2)
         assert np.all(P == 0.0)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError, match="rel_tol"):
-            linalg.pinv(np.eye(2), rel_tol=-1.0)
 
 
 class TestEigNonsymmetric:
@@ -319,6 +281,15 @@ class TestEigSymmetric:
                 1 + np.linalg.norm(A)
             )
             assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-10
+
+    def test_sign_convention_matches_phase_fix(self):
+        rng = np.random.default_rng(9)
+        for A in [np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros((0, 0))] + [
+            (B + B.T) / 2 for B in (random_matrix(rng, n, n) for n in (1, 3, 8, 40))
+        ]:
+            values, vectors = linalg.eig_symmetric(A)
+            assert vectors.shape == A.shape
+            assert np.abs(linalg._phase_fix(vectors).real - vectors).max(initial=0) <= 1e-15
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -11,13 +11,13 @@ import tempfile
 from dmdsep import emit_plots
 from dmdsep.experiments import default_config, run_experiment, summarize
 
-workdir = tempfile.mkdtemp(prefix="rates_")
-cfg = default_config("cosine")
-cfg.out_path = os.path.join(workdir, "cosine_records.csv")
+with tempfile.TemporaryDirectory(prefix="rates_") as workdir:
+    cfg = default_config("cosine")
+    cfg.out_path = os.path.join(workdir, "cosine_records.csv")
 
-records = run_experiment(cfg)
-print(summarize(records))
-print(f"\nwrote {len(records)} records to {cfg.out_path}")
+    records = run_experiment(cfg)
+    print(summarize(records))
+    print(f"\nwrote {len(records)} records to {cfg.out_path}")
 
-for path in emit_plots(cfg.out_path, os.path.join(workdir, "plots")):
-    print(f"wrote {path}")
+    for path in emit_plots(cfg.out_path, os.path.join(workdir, "plots")):
+        print(f"wrote {path}")

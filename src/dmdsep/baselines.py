@@ -79,12 +79,16 @@ def pca_unmix(X, k):
     """PCA baseline: top-k left singular vectors of the de-meaned data.
 
     ``Q_hat`` is column-orthonormal by construction, so this estimator
-    cannot represent a non-orthogonal mixing matrix.
+    cannot represent a non-orthogonal mixing matrix.  De-meaned data of
+    numerical rank below ``k`` has no top-k signals and is rejected.
     """
     X = np.asarray(X, dtype=float)
     if not 1 <= k <= min(X.shape):
         raise ValueError(f"k={k} outside [1, {min(X.shape)}]")
     Xc = X - X.mean(axis=1, keepdims=True)
-    U_k = linalg.left_svd(Xc)[0][:, :k]
+    U, _, rank = linalg.left_svd(Xc)
+    if rank < k:
+        raise ValueError(f"de-meaned data has numerical rank {rank} < k={k}")
+    U_k = U[:, :k]
     S_hat = Xc.T @ U_k  # = V_k diag(sigma_k)
     return UnmixResult(Q_hat=U_k, S_hat=S_hat / np.linalg.norm(S_hat, axis=0))

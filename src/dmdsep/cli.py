@@ -38,13 +38,9 @@ def _numbered_lines(path):
         raise
 
 
-def read_timeseries_csv(path, fill_missing=False):
-    """Parse a time-major numeric CSV (rows = samples, columns = channels).
-
-    Returns ``(data, missing_mask)`` with shape (n, p).  Missing cells
-    (empty or ``nan``) are allowed only when ``fill_missing`` is set, other
-    non-finite cells (``inf``, ``1e999``) never; errors name their line.
-    """
+def _read_per_line(path, fill_missing):
+    """The cell-by-cell reader behind :func:`read_timeseries_csv`: it
+    decides every file the one-pass parse declines and names the line."""
     rows, line_nos = [], []
     width = None
     for line_no, line in _numbered_lines(path):
@@ -72,11 +68,55 @@ def read_timeseries_csv(path, fill_missing=False):
     return data, missing
 
 
+def _nan_filled(lines):
+    """Yield each line with its empty cells spelled ``nan``; a blank line
+    stays blank."""
+    for line in lines:
+        line = line.rstrip("\n")
+        # loadtxt strips the separators \x1c-\x1f around a number as
+        # whitespace and float() does not, so such a line is declined
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator character")
+        if line:
+            line = ("," + line + ",").replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+        yield line
+
+
+def read_timeseries_csv(path, fill_missing=False):
+    """Parse a time-major numeric CSV (rows = samples, columns = channels).
+
+    Returns ``(data, missing_mask)`` with shape (n, p).  Missing cells
+    (empty or ``nan``) are allowed only when ``fill_missing`` is set, other
+    non-finite cells (``inf``, ``1e999``) never; errors name their line.
+
+    The file is streamed through one ``np.loadtxt`` call.  A file that
+    call declines, or whose values break a rule, is read again cell by
+    cell, which accepts what ``float()`` accepts and names the bad line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty file is "no data rows" from the per-line reader
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(
+                _nan_filled(fh), delimiter=",", comments=None, dtype=float, ndmin=2
+            )
+    except ValueError:  # UnicodeDecodeError included
+        return _read_per_line(path, fill_missing)
+    missing = np.isnan(data)
+    if not data.size or np.isinf(data).any() or (missing.any() and not fill_missing):
+        return _read_per_line(path, fill_missing)
+    return data, missing
+
+
 def _write_csv(path, header, rows):
+    """Write ``rows`` (n x k) under ``header`` with 17 significant digits,
+    which round-trip float64 exactly."""
+    values = np.asarray(rows, dtype=float)
+    n, k = values.shape
+    row = ",".join(["%.17g"] * k) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(row * n % tuple(values.ravel().tolist()))
 
 
 def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
@@ -97,7 +137,7 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
         raise ValueError(f"lag tau={tau} outside [1, {n - 2}] for {n} samples")
     X = data.T.copy()  # internal orientation: channels x time
     if fill_missing and missing.any():
-        X[np.isnan(X)] = 0.0
+        X[missing.T] = 0.0
         X = dmd.fill_in(X, k)
     fac = dmd.dmf(X, tau, k)
     C = fac.C_hat
@@ -116,11 +156,8 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     eig_path = f"{out_prefix}_eigvals.csv"
     _write_csv(sources_path, [f"source_{j + 1}" for j in range(k)], C)
     _write_csv(mixing_path, [f"mode_{j + 1}" for j in range(k)], Q)
-    _write_csv(
-        eig_path,
-        ["real", "imag"],
-        [(v.real, v.imag) for v in fac.eigvals],
-    )
+    eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
+    _write_csv(eig_path, ["real", "imag"], eig)
     return sources_path, mixing_path, eig_path
 
 

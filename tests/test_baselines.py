@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,13 @@ class TestPcaUnmix:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="k="):
             baselines.pca_unmix(np.zeros((3, 10)), 4)
+
+    @pytest.mark.parametrize(
+        "X", [np.ones((3, 10)), np.outer([1.0, 2.0, 3.0], np.arange(10.0))]
+    )
+    def test_rejects_rank_below_k(self, X):
+        # constant rows de-mean to zero (rank 0); one scaled ramp is rank 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rank [01] < k=2"):
+                baselines.pca_unmix(X, 2)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dmdsep
-from dmdsep import cli, experiments, metrics, plots, signals
+from dmdsep import cli, dmd, experiments, metrics, plots, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
 from dmdsep.experiments import AUDIO_DEMO_Q, default_config, run_experiment
 from dmdsep.plots import emit_plots
@@ -74,6 +74,47 @@ class TestReadTimeseriesCsv:
         path.write_bytes(b"1,2\n" * 5000 + b"3,\xff4\n5,6\n")
         with pytest.raises(ValueError, match="line 5001: not UTF-8"):
             read_timeseries_csv(str(path))
+
+    @pytest.mark.parametrize("fill_missing", [False, True])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"1,2\r\n3,\r\n4,5\r\n",  # CRLF with a trailing empty cell
+            b"1,2\n \t \n3,4\n",  # a whitespace-only line between rows
+            b"1.5,-2,3e-3\n",  # a single row
+            b"1\n\n-2.5\n3\n",  # a single column
+            b"1,2\x0c3,4\n",  # a form feed inside a cell is no line break
+            b"1,2\n\x1c3,4\n",  # float() does not strip \x1c as whitespace
+        ],
+        ids=["crlf", "whitespace-line", "one-row", "one-column", "form-feed", "x1c"],
+    )
+    def test_odd_files_match_float_parse(self, tmp_path, payload, fill_missing):
+        assert_reader_matches_oracle(tmp_path, payload, fill_missing)
+
+    @pytest.mark.parametrize(
+        "payload", [b"", b"\n\r\n\n", b"\n \n\t\n"], ids=["empty", "blank", "whitespace"]
+    )
+    def test_no_data_is_exit_1_without_warnings(self, tmp_path, capsys, payload):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["unmix", str(path), "--out-prefix", str(tmp_path / "o")]) == 1
+        assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    def test_matches_per_value_format(self, tmp_path):
+        values = np.array(
+            [[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e308], [0.1, -2.5e-17]]
+        )
+        path = tmp_path / "w.csv"
+        for rows in (values, values[:0]):
+            cli._write_csv(str(path), ["a", "b"], rows)
+            expected = "a,b\n" + "".join(
+                ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
+            )
+            assert path.read_bytes() == expected.encode()
 
 
 class TestUnmixCsv:
@@ -138,6 +179,21 @@ class TestUnmixCsv:
         )
         sources = read_numeric_csv(tmp_path / "g_sources.csv")
         assert np.all(np.isfinite(sources))
+        # the same pipeline from a per-cell float() parse, written per value
+        cells = [[float(c) if c else np.nan for c in ln.split(",")] for ln in gapped]
+        X = np.array(cells).T
+        X[np.isnan(X)] = 0.0
+        fac = dmd.dmf(dmd.fill_in(X, 2), 1, 2)
+        eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
+        for name, header, rows in (
+            ("sources", "source_1,source_2", fac.C_hat.real),
+            ("mixing", "mode_1,mode_2", fac.Q_hat.real),
+            ("eigvals", "real,imag", eig),
+        ):
+            expected = header + "\n" + "".join(
+                ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
+            )
+            assert (tmp_path / f"g_{name}.csv").read_bytes() == expected.encode(), name
 
     def test_rank_exceeds_channels(self, tmp_path):
         (tmp_path / "two.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
@@ -145,23 +201,27 @@ class TestUnmixCsv:
             unmix_csv(str(tmp_path / "two.csv"), str(tmp_path / "x"), tau=1, k=5)
 
 
+# the last line holds cells on which np.loadtxt and float() could part ways
 CSV_TOKENS = [
     "0", "1.5", "-2e3", " 7 ", "\t8", "", "  ", "nan", "NaN", "inf", "-inf",
     "1e999", "oops", "1.2.3", ",", "x,", "\xe9",
+    "#1", "1_0", "\u0661", "\xa01", "\x0c2", '"3"', "0x1p3", "\x1c1",
 ]
 
 
-def csv_offending_lines(lines, fill_missing):
-    """Lines the reader must reject, or None when the file has no data."""
-    offending, width, seen = set(), None, False
+def csv_oracle(lines, fill_missing):
+    """``(offending, rows)``: the lines the reader must reject (None when the
+    file has no data) and the per-cell ``float()`` values of the data lines,
+    NaN for an empty cell."""
+    offending, width, rows = set(), None, []
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
-        seen = True
         cells = line.split(",")
         width = len(cells) if width is None else width
         if len(cells) != width:
             offending.add(line_no)
+        row = []
         for cell in cells:
             try:
                 value = float(cell) if cell.strip() else float("nan")
@@ -170,11 +230,38 @@ def csv_offending_lines(lines, fill_missing):
                 continue
             if np.isinf(value) or (np.isnan(value) and not fill_missing):
                 offending.add(line_no)
-    return offending if seen else None
+            row.append(value)
+        rows.append(row)
+    return (offending if rows else None), rows
 
 
 def named_line(exc):
     return int(re.search(r"line (\d+)", str(exc)).group(1))
+
+
+def assert_reader_matches_oracle(tmp_path, payload, fill_missing):
+    """Read ``payload`` as a CSV file: the reader must name an offending
+    line (or report no data), or return the oracle's values bit for bit.
+    A byte that is not UTF-8 decodes to U+FFFD, which fails ``float()``,
+    so its line is offending too."""
+    path = tmp_path / "oracle.csv"
+    path.write_bytes(payload)
+    text = payload.decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    expected_bad, rows = csv_oracle(text.split("\n"), fill_missing)
+    try:
+        data, missing = read_timeseries_csv(str(path), fill_missing=fill_missing)
+    except ValueError as exc:
+        if expected_bad is None:
+            assert "no data rows" in str(exc)
+        else:
+            assert named_line(exc) in expected_bad, str(exc)
+        return
+    assert expected_bad == set()
+    expected = np.array(rows, dtype=float)
+    assert data.shape == expected.shape
+    assert np.array_equal(missing, np.isnan(expected))
+    assert data[~missing].tobytes() == expected[~missing].tobytes()
+    assert fill_missing or not missing.any()
 
 
 class TestReaderFuzz:
@@ -195,27 +282,11 @@ class TestReaderFuzz:
         fill_missing=st.booleans(),
     )
     def test_csv_reader(self, tmp_path, grid, raw_line, fill_missing):
-        lines = [",".join(row) for row in grid]
-        payload = [line.encode() for line in lines]
+        payload = [",".join(row).encode() for row in grid]
         if raw_line is not None and raw_line < len(payload):
             payload[raw_line] += b"\xff"  # not UTF-8
-        path = tmp_path / "fuzz.csv"
-        path.write_bytes(b"".join(line + b"\n" for line in payload))
-        offending = csv_offending_lines(lines, fill_missing)
-        if raw_line is not None and raw_line < len(payload):
-            offending = (offending or set()) | {raw_line + 1}
-        try:
-            data, missing = read_timeseries_csv(str(path), fill_missing=fill_missing)
-        except ValueError as exc:
-            if offending is None:
-                assert "no data rows" in str(exc)
-            else:
-                assert named_line(exc) in offending, str(exc)
-            return
-        assert offending == set()
-        assert np.array_equal(missing, np.isnan(data))
-        assert np.all(np.isfinite(data[~missing]))
-        assert fill_missing or not missing.any()
+        payload = b"".join(line + b"\n" for line in payload)
+        assert_reader_matches_oracle(tmp_path, payload, fill_missing)
 
     @settings(
         max_examples=300,

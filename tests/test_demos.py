@@ -27,7 +27,9 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    env["TMPDIR"] = str(tmp_path)  # the demos write their files to mkdtemp()
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)  # where the demos' temporary directories go
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -38,6 +40,7 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+    assert list(tmpdir.iterdir()) == []  # a demo removes what it wrote there
 
 
 def test_every_export_resolves():

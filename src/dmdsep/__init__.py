@@ -97,6 +97,7 @@ __all__ = [
     "left_vectors",
     "pca_unmix",
     "pinv",
+    "random_unit_columns",
     "rate_fit",
     "recover_signals",
     "run_experiment",

@@ -11,7 +11,9 @@ import warnings
 import numpy as np
 
 from . import dmd, linalg
-from .experiments import SUITES, default_config, run_experiment, summarize
+from .experiments import (
+    SUITES, default_config, numbered_lines, run_experiment, summarize
+)
 from .plots import emit_plots
 
 
@@ -24,26 +26,12 @@ def _parse_cell(raw, line_no, col):
         ) from None
 
 
-def _numbered_lines(path):
-    """Yield ``(line number, line)`` of a UTF-8 text file; bytes that are
-    not UTF-8 raise a ``ValueError`` naming their line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh.read().splitlines(), start=1):
-                if raw.decode(errors="replace").encode() != raw:
-                    raise ValueError(f"{path} line {line_no}: not UTF-8 text") from None
-        raise
-
-
 def _read_per_line(path, fill_missing):
     """The cell-by-cell reader behind :func:`read_timeseries_csv`: it
     decides every file the one-pass parse declines and names the line."""
     rows, line_nos = [], []
     width = None
-    for line_no, line in _numbered_lines(path):
+    for line_no, line in numbered_lines(path):
         line = line.rstrip("\n")
         if line.strip() == "":
             continue
@@ -190,7 +178,7 @@ def _parse_value(key, raw, where):
 def load_config_file(path):
     """Parse a declarative ``key = value`` config file into a dict."""
     values = {}
-    for line_no, line in _numbered_lines(path):
+    for line_no, line in numbered_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

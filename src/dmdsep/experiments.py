@@ -4,9 +4,11 @@ Each suite regenerates one of the reference experiments: noiseless cosine
 mixtures across sample sizes, AR(2) mixtures compared across lags,
 Bernoulli-masked data with and without the truncated-SVD fill-in, the
 AMUSE head-to-head, the changepoint composite, and the deterministic
-eigenwalker example.  ``SUITE_TABLE`` holds one row per suite (its cell
-generator, methods, fixed shape and defaults); :func:`run_experiment` is
-the single loop that fits and scores every row.
+eigenwalker example.  ``SUITE_TABLE`` holds one row per suite: its
+ground-truth models, whether it masks the data, its methods, fixed shape
+and defaults, and the axis and guide slope of its plots.
+:func:`run_experiment` is the single cell loop that fits and scores
+every row, and nothing else in the package names a suite.
 
 Seed scheme (reproducible across runs and ports): every random draw uses
 a Philox stream whose seed is ``master_seed XOR blake2b-64(tag)`` where
@@ -17,9 +19,11 @@ n or q, so grid cells within a trial are paired.
 """
 
 import hashlib
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -130,49 +134,13 @@ def _cosine_model(cfg, n, trial, omegas, d):
     return signals.assemble(_trial_mixing(cfg, trial), d, signals.gen_cosines(spec, n))
 
 
-def _cosine_cells(cfg):
-    for w2 in (0.5, 2.0):
-        for n in cfg.n_grid:
-            for trial in range(cfg.trials):
-                model = _cosine_model(cfg, n, trial, (0.25, w2), np.ones(cfg.k))
-                yield n, 1.0, trial, model, model.X, f"(w2={w2})"
-
-
-ARMA_SUITE_SPECS = (
-    signals.ArmaSpec(ar_coeffs=(0.2, 0.7)),
-    signals.ArmaSpec(ar_coeffs=(0.3, 0.5)),
-)
-
-
-def _arma_cells(cfg):
-    for n in cfg.n_grid:
-        for trial in range(cfg.trials):
-            Q = _trial_mixing(cfg, trial)
-            cols = [
-                signals.gen_arma(
-                    spec, n, derive_seed(cfg.seed, cfg.suite, "signal", i, n, trial)
-                )
-                for i, spec in enumerate(ARMA_SUITE_SPECS)
-            ]
-            model = signals.assemble(Q, np.ones(cfg.k), np.column_stack(cols))
-            yield n, 1.0, trial, model, model.X, ""
-
-
-def _masked_cells(cfg):
-    for n in cfg.n_grid:
-        for q in cfg.q_grid:
-            for trial in range(cfg.trials):
-                model = _cosine_model(cfg, n, trial, (0.25, 2.0), np.array([2.0, 1.0]))
-                mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
-                X = signals.apply_mask(model.X, signals.MaskSpec(q=q, seed=mask_seed))
-                yield n, q, trial, model, X, ""
-
-
-def _amuse_cells(cfg):
-    for n in cfg.n_grid:
-        for trial in range(cfg.trials):
-            model = _cosine_model(cfg, n, trial, (0.25, 2.0), np.array([2.0, 1.0]))
-            yield n, 1.0, trial, model, model.X, ""
+def _arma_model(cfg, n, trial):
+    cols = []
+    for i, coeffs in enumerate(((0.2, 0.7), (0.3, 0.5))):
+        seed = derive_seed(cfg.seed, cfg.suite, "signal", i, n, trial)
+        cols.append(signals.gen_arma(signals.ArmaSpec(ar_coeffs=coeffs), n, seed))
+    Q = _trial_mixing(cfg, trial)
+    return signals.assemble(Q, np.ones(cfg.k), np.column_stack(cols))
 
 
 def changepoint_model(n, seed):
@@ -190,25 +158,14 @@ def changepoint_model(n, seed):
     return model, zero_masks[:, order]
 
 
-def _changepoint_cells(cfg):
-    for n in cfg.n_grid:
-        for trial in range(cfg.trials):
-            sig_seed = derive_seed(cfg.seed, cfg.suite, "signal", n, trial)
-            model, _ = changepoint_model(n, sig_seed)
-            yield n, 1.0, trial, model, model.X, ""
+def _changepoint_suite_model(cfg, n, trial):
+    return changepoint_model(n, derive_seed(cfg.seed, cfg.suite, "signal", n, trial))[0]
 
 
 def eigenwalker_model(n=1000):
     """The deterministic three-channel walker example from the worked demo."""
     spec = signals.CosineSpec(omegas=EIGENWALKER_OMEGAS)
     return signals.assemble(EIGENWALKER_Q, np.ones(2), signals.gen_cosines(spec, n))
-
-
-def _eigenwalker_cells(cfg):
-    for n in cfg.n_grid:
-        model = eigenwalker_model(n)
-        for trial in range(cfg.trials):
-            yield n, 1.0, trial, model, model.X, ""
 
 
 def _propagator_modes(fit, X):
@@ -266,61 +223,67 @@ def _score(model, tau, vectors, eigvals, S_hat):
 class Suite:
     """One row of the suite table.
 
-    ``cells(cfg)`` yields ``(n, q, trial, model, X_seen, tag)`` in record
-    order; each cell is fitted at every lag by each of ``methods``, and
-    ``tag`` is appended to the method names.  The models have ``k`` sources
-    and, where ``p`` is set, that many channels.  ``preset`` holds the
-    other desk-scale defaults; ``quiet`` silences warnings for the run.
+    ``models`` maps a method-name tag to ``model(cfg, n, trial)``, the
+    ground truth of one cell, which each of ``methods`` fits at every lag;
+    the tag is appended to the method names.  A ``masked`` row fits a
+    Bernoulli-masked copy of the data at every ``q_grid`` entry, any other
+    row ``model.X`` itself at q = 1.  The models have ``k`` sources and,
+    where ``p`` is set, that many channels; ``preset`` holds the other
+    defaults, and ``quiet`` silences warnings.  Plots put the record field
+    ``x`` on the x-axis, with the theory's decay ``slope`` as a guide.
     """
 
-    cells: object
+    models: dict
     methods: tuple
-    k: int
     preset: dict
+    k: int = 2
     p: int = None
+    x: str = "n"
+    slope: float = None
+    masked: bool = False
     quiet: bool = False
 
 
+_COSINE_PAIRS = {
+    f"(w2={w2})": partial(_cosine_model, omegas=(0.25, w2), d=(1.0, 1.0))
+    for w2 in (0.5, 2.0)
+}
+_SCALED_PAIR = {"": partial(_cosine_model, omegas=(0.25, 2.0), d=(2.0, 1.0))}
+
 SUITE_TABLE = {
     "cosine": Suite(
-        _cosine_cells, ("dmd",), 2, dict(n_grid=(500, 1000, 2000, 4000, 8000, 16000))
+        _COSINE_PAIRS, ("dmd",), dict(n_grid=(500, 1000, 2000, 4000, 8000, 16000)),
+        slope=-1.0,
     ),
     # near-tied lag-1 autocorrelations occasionally collide into a complex
     # pair at small n; the trial's large error is the diagnostic
     "arma": Suite(
-        _arma_cells,
-        ("dmd",),
-        2,
+        {"": _arma_model}, ("dmd",),
         dict(n_grid=(1000, 3162, 10000, 31623, 100000), tau_list=(1, 2), trials=50),
-        quiet=True,
+        slope=-1.0, quiet=True,
     ),
     # plain DMD on heavily masked data legitimately produces complex junk
     # modes; the recorded errors are the diagnostic
     "missing-q": Suite(
-        _masked_cells,
-        ("tsvd-dmd", "dmd"),
-        2,
+        _SCALED_PAIR, ("tsvd-dmd", "dmd"),
         dict(n_grid=(10000,), p=500, q_grid=(0.05, 0.1, 0.2, 0.35, 0.5), trials=10),
-        quiet=True,
+        x="q", slope=-1.5, masked=True, quiet=True,
     ),
     "missing-n": Suite(
-        _masked_cells,
-        ("tsvd-dmd", "dmd"),
-        2,
+        _SCALED_PAIR, ("tsvd-dmd", "dmd"),
         dict(n_grid=(2500, 5000, 10000, 20000), p=500, q_grid=(0.1,), trials=10),
-        quiet=True,
+        slope=-0.5, masked=True, quiet=True,
     ),
     "amuse-compare": Suite(
-        _amuse_cells,
-        ("dmd", "amuse"),
-        2,
-        dict(n_grid=(1000, 2000, 4000, 8000, 16000), p=500, trials=10),
+        _SCALED_PAIR, ("dmd", "amuse"),
+        dict(n_grid=(1000, 2000, 4000, 8000, 16000), p=500, trials=10), slope=-1.0,
     ),
     "changepoint": Suite(
-        _changepoint_cells, ("dmf",), 4, dict(n_grid=(1000,), seed=1), p=4
+        {"": _changepoint_suite_model}, ("dmf",), dict(n_grid=(1000,), seed=1), k=4, p=4
     ),
     "eigenwalker": Suite(
-        _eigenwalker_cells, ("dmd", "pca"), 2, dict(n_grid=(1000,)), p=3
+        {"": lambda cfg, n, trial: eigenwalker_model(n)}, ("dmd", "pca"),
+        dict(n_grid=(1000,)), p=3,
     ),
 }
 
@@ -330,20 +293,27 @@ SUITES = tuple(SUITE_TABLE)
 def run_experiment(cfg):
     """Run one suite and return its records in deterministic cell order.
 
-    Writes the records as CSV when ``cfg.out_path`` is set.  All
-    randomness is derived from ``cfg.seed`` via :func:`derive_seed`, so
-    identical configs produce identical error fields.  ``wall_ms`` spans
-    one method's fit at one lag and its scoring; a method that fits every
-    lag from one reduction of the cell's data (``dmd``) charges that
-    reduction to the first lag's record.
+    Cells run in (tag, n, q, trial) order.  Writes the records as CSV when
+    ``cfg.out_path`` is set.  All randomness is derived from ``cfg.seed``
+    via :func:`derive_seed`, so identical configs produce identical error
+    fields.  ``wall_ms`` spans one method's fit at one lag and its
+    scoring; a method that fits every lag from one reduction of the cell's
+    data (``dmd``) charges that reduction to the first lag's record.
     """
     cfg.validate()
     row = SUITE_TABLE[cfg.suite]
+    q_grid = cfg.q_grid if row.masked else (1.0,)
+    cells = itertools.product(row.models, cfg.n_grid, q_grid, range(cfg.trials))
     records = []
     with warnings.catch_warnings():
         if row.quiet:
             warnings.simplefilter("ignore")
-        for n, q, trial, model, X, tag in row.cells(cfg):
+        for tag, n, q, trial in cells:
+            model = row.models[tag](cfg, n, trial)
+            X = model.X
+            if row.masked:
+                mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
+                X = signals.apply_mask(X, signals.MaskSpec(q=q, seed=mask_seed))
             fits = {m: _METHODS[m](X, q, cfg.tau_list, cfg.k) for m in row.methods}
             for tau in cfg.tau_list:
                 for method in row.methods:
@@ -376,10 +346,31 @@ def write_records(records, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def numbered_lines(path):
+    """Yield ``(line number, line)`` of a UTF-8 text file; bytes that are
+    not UTF-8 raise a ``ValueError`` naming their line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+                if raw.decode(errors="replace").encode() != raw:
+                    raise ValueError(f"{path} line {line_no}: not UTF-8 text") from None
+        raise
+
+
+# smallest value of each integer field a record may hold; q lies in (0, 1]
+_FIELD_MINIMUMS = {"n": 1, "p": 1, "k": 1, "tau": 1, "trial": 0, "wall_ms": 0}
+
+
 def read_records(path):
-    """Read a records CSV written by :func:`write_records`."""
-    with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    """Read a records CSV written by :func:`write_records`.
+
+    A row that does not parse, names a suite not in ``SUITE_TABLE`` or
+    holds an out-of-range value raises a ``ValueError`` naming its line.
+    """
+    lines = [(no, ln.strip()) for no, ln in numbered_lines(path) if ln.strip()]
     if not lines:
         raise ValueError(f"records file {path} is empty")
     header = lines[0][1].split(",")
@@ -388,31 +379,38 @@ def read_records(path):
         raise ValueError(f"records file {path} missing columns {sorted(missing)}")
     records = []
     for line_no, line in lines[1:]:
+        where = f"records file {path} line {line_no}"
         cells = line.split(",")
         if len(cells) != len(RECORD_FIELDS):
             raise ValueError(
-                f"records file {path} line {line_no}: expected "
-                f"{len(RECORD_FIELDS)} cells, found {len(cells)}"
+                f"{where}: expected {len(RECORD_FIELDS)} cells, found {len(cells)}"
             )
         try:
             values = [f.type(raw) for f, raw in zip(fields(ExperimentRecord), cells)]
         except ValueError:
-            raise ValueError(
-                f"records file {path} line {line_no}: cannot parse {line!r}"
-            ) from None
-        records.append(ExperimentRecord(*values))
+            raise ValueError(f"{where}: cannot parse {line!r}") from None
+        rec = ExperimentRecord(*values)
+        if rec.suite not in SUITE_TABLE:
+            raise ValueError(f"{where}: unknown suite {rec.suite!r}")
+        for name, low in _FIELD_MINIMUMS.items():
+            value = getattr(rec, name)
+            if value < low:
+                raise ValueError(f"{where}: {name} must be >= {low}, got {value}")
+        if not 0.0 < rec.q <= 1.0:
+            raise ValueError(f"{where}: q must lie in (0, 1], got {rec.q}")
+        records.append(rec)
     return records
 
 
 def mean_errors(records, field="q_sq_error"):
     """Trial-averaged errors keyed by series and grid coordinate.
 
-    Returns ``{(method, tau): {x_value: mean_error}}`` with the x-axis
-    chosen per suite (q for the missing-q suite, n otherwise).
+    Returns ``{(method, tau): {x_value: mean_error}}`` with the x-axis the
+    record field that the suite's row names (``Suite.x``).
     """
     out = {}
     for rec in records:
-        x = rec.q if rec.suite == "missing-q" else rec.n
+        x = getattr(rec, SUITE_TABLE[rec.suite].x)
         key = (rec.method, rec.tau)
         out.setdefault(key, {}).setdefault(x, []).append(getattr(rec, field))
     return {

@@ -10,16 +10,7 @@ above the first series.
 import math
 import os
 
-from .experiments import RECORD_FIELDS, mean_errors, read_records
-
-# reference decay exponents from the theory, per suite and x-axis
-GUIDE_SLOPES = {
-    "cosine": -1.0,
-    "arma": -1.0,
-    "missing-q": -1.5,
-    "missing-n": -0.5,
-    "amuse-compare": -1.0,
-}
+from .experiments import RECORD_FIELDS, SUITE_TABLE, mean_errors, read_records
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -140,7 +131,7 @@ def _svg_figure(title, xlabel, series, guide):
 
 
 def _gnuplot_script(suite, records_path):
-    xlabel = "q" if suite == "missing-q" else "n"
+    xlabel = SUITE_TABLE[suite].x
     xcol = RECORD_FIELDS.index(xlabel) + 1
     lines = [
         "# regenerate the error plots for suite "
@@ -164,10 +155,10 @@ def _gnuplot_script(suite, records_path):
 def emit_plots(records_path, out_dir):
     """Render one SVG per (suite, error kind) from a records CSV.
 
-    The guide line uses the suite's theoretical reference slope, anchored
-    a factor of two above the first series' starting point; it is drawn
-    only when the grid has at least two distinct x values.  Returns the
-    list of written file paths.
+    The x-axis and the guide line's slope come from the suite's row of
+    ``SUITE_TABLE``; the guide is anchored a factor of two above the first
+    series' starting point and drawn only when the row has a slope and the
+    grid has at least two distinct x values.  Returns the written paths.
     """
     records = read_records(records_path)
     os.makedirs(out_dir, exist_ok=True)
@@ -175,7 +166,7 @@ def emit_plots(records_path, out_dir):
     written = []
     for suite in suites:
         suite_records = [r for r in records if r.suite == suite]
-        xlabel = "q" if suite == "missing-q" else "n"
+        row = SUITE_TABLE[suite]
         for kind in _KINDS:
             means = mean_errors(suite_records, field=kind)
             series = []
@@ -190,7 +181,7 @@ def emit_plots(records_path, out_dir):
             if not series:
                 continue
             guide = None
-            slope = GUIDE_SLOPES.get(suite)
+            slope = row.slope
             first = series[0][1]
             if slope is not None and len({x for _, pts in series for x, _ in pts}) >= 2:
                 x_lo, x_hi = first[0][0], first[-1][0]
@@ -201,7 +192,7 @@ def emit_plots(records_path, out_dir):
                 )
             path = os.path.join(out_dir, f"{suite}_{kind}.svg")
             with open(path, "w") as fh:
-                fh.write(_svg_figure(f"{suite}: {kind}", xlabel, series, guide))
+                fh.write(_svg_figure(f"{suite}: {kind}", row.x, series, guide))
             written.append(path)
         script = os.path.join(out_dir, f"{suite}_plots.gnuplot")
         with open(script, "w") as fh:

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 import dmdsep
 from dmdsep import cli, dmd, experiments, metrics, plots, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
-from dmdsep.experiments import AUDIO_DEMO_Q, default_config, run_experiment
+from dmdsep.experiments import (
+    AUDIO_DEMO_Q,
+    RECORD_FIELDS,
+    SUITES,
+    ExperimentRecord,
+    default_config,
+    run_experiment,
+    write_records,
+)
 from dmdsep.plots import emit_plots
 
 
@@ -478,6 +486,38 @@ class TestMainExitCodes:
         assert (tmp_path / "u_sources.csv").exists()
 
 
+def write_grid_records(path, suite, cells=None):
+    """Records of ``suite`` at two (n, q) grid points, so a guide can be
+    drawn on either axis; ``cells`` maps fields of the second row to the
+    raw text written in their place."""
+    write_records(
+        [
+            ExperimentRecord(suite, n, 3, 2, 1, q, 0, "dmd", 1 / n, 2 / n, 3 / n, 0)
+            for n, q in ((1000, 0.5), (4000, 1.0))
+        ],
+        str(path),
+    )
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    for field, raw in (cells or {}).items():
+        row[RECORD_FIELDS.index(field)] = raw
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# suite -> (x-axis record field, guide slope or None), as the theory gives them
+PLOT_AXES = {
+    "cosine": ("n", -1.0),
+    "arma": ("n", -1.0),
+    "missing-q": ("q", -1.5),
+    "missing-n": ("n", -0.5),
+    "amuse-compare": ("n", -1.0),
+    "changepoint": ("n", None),
+    "eigenwalker": ("n", None),
+}
+
+
 class TestEmitPlots:
     def _records(self, tmp_path, suite, **overrides):
         cfg = default_config(suite)
@@ -520,6 +560,41 @@ class TestEmitPlots:
             f"{fields.index(x) + 1}:{fields.index(kind) + 1}"
             for kind in ("q_sq_error", "s_sq_error", "eig_sq_error")
         ]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_axis_and_guide_follow_suite(self, tmp_path, suite):
+        x, slope = PLOT_AXES[suite]
+        emit_plots(write_grid_records(tmp_path / "r.csv", suite), str(tmp_path))
+        for kind in ("q_sq_error", "s_sq_error", "eig_sq_error"):
+            text = (tmp_path / f"{suite}_{kind}.svg").read_text()
+            assert f'font-size="12">{x}</text>' in text
+            if slope is None:
+                assert 'class="guide"' not in text
+            else:
+                assert text.count('class="guide"') == 1
+                assert f">slope {slope:g}</text>" in text
+
+    @pytest.mark.parametrize(
+        "suite,cells,message",
+        [
+            ("cosine", {"n": "0"}, "n must be >= 1, got 0"),
+            ("cosine", {"n": "-5"}, "n must be >= 1, got -5"),
+            ("cosine", {"p": "0"}, "p must be >= 1, got 0"),
+            ("cosine", {"k": "0"}, "k must be >= 1, got 0"),
+            ("cosine", {"tau": "0"}, "tau must be >= 1, got 0"),
+            ("cosine", {"trial": "-1"}, "trial must be >= 0, got -1"),
+            ("cosine", {"wall_ms": "-1"}, "wall_ms must be >= 0, got -1"),
+            ("missing-q", {"q": "0"}, "q must lie in (0, 1], got 0.0"),
+            ("missing-q", {"q": "-0.5"}, "q must lie in (0, 1], got -0.5"),
+            ("missing-n", {"q": "1.5"}, "q must lie in (0, 1], got 1.5"),
+            ("missing-n", {"q": "nan"}, "q must lie in (0, 1], got nan"),
+            ("cosine", {"suite": "cosines"}, "unknown suite 'cosines'"),
+        ],
+    )
+    def test_out_of_range_record_is_exit_1(self, tmp_path, capsys, suite, cells, message):
+        path = write_grid_records(tmp_path / "r.csv", suite, cells)
+        assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 1
+        assert f"line 3: {message}" in capsys.readouterr().err
 
     def test_short_records_row_is_exit_1(self, tmp_path, capsys):
         path = self._records(tmp_path, "eigenwalker")

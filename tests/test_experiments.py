@@ -176,6 +176,15 @@ class TestRecordsIO:
         with pytest.raises(ValueError, match=f"line 3: expected 12 cells, found {found}"):
             read_records(str(path))
 
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(run_experiment(default_config("eigenwalker")), str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"pca", b"pc\xff")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="line 3: not UTF-8 text"):
+            read_records(str(path))
+
     def test_unparsable_cell_names_line(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records(run_experiment(default_config("eigenwalker")), str(path))

@@ -8,7 +8,7 @@ eigenvalues land on the cosines of the two frequencies.
 
 import numpy as np
 
-from dmdsep import align_columns, dmd_fit, left_vectors, pca_unmix, recover_signals, s_error
+from dmdsep import align_columns, dmd_fit, pca_unmix, pinv, recover_signals, s_error
 from dmdsep.experiments import eigenwalker_model
 
 model = eigenwalker_model(n=1000)
@@ -22,7 +22,7 @@ print("targets cos(0.25), cos(2):", round(np.cos(0.25), 5), round(np.cos(2.0), 5
 align = align_columns(fit.eig.vectors, model.Q)
 print(f"aligned squared mixing error (DMD): {align.total_sq_error:.3e}")
 
-S_hat = recover_signals(model.X, left_vectors(fit.eig.vectors))
+S_hat = recover_signals(model.X, pinv(fit.eig.vectors))
 print(f"aligned squared signal error (DMD): {s_error(S_hat, model.S):.3e}")
 
 pca = pca_unmix(model.X, 2)

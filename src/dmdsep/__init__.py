@@ -17,7 +17,6 @@ from .dmd import (
     dmd_fit,
     dmd_fits,
     dmf,
-    left_vectors,
     recover_signals,
     tsvd_dmd_fit,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "gen_changepoint_suite",
     "gen_cosines",
     "lag_cov",
-    "left_vectors",
     "pca_unmix",
     "pinv",
     "random_unit_columns",

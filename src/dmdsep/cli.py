@@ -110,8 +110,10 @@ def _write_csv(path, header, rows):
 def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     """Unmix a time-major CSV via the mean-aware factorization.
 
-    With ``fill_missing`` the pipeline is zero-fill, rank-``k`` truncated
-    SVD, then the factorization; otherwise the data is factorized as-is.
+    With ``fill_missing`` the pipeline is zero-fill, then the factorization
+    of the rank-``k`` truncated-SVD fill-in (:func:`dmd.fill_in`), fitted
+    on its k x n coordinates and lifted to the channels; otherwise the
+    data is factorized as-is.
     Writes ``<prefix>_sources.csv`` (n x k coordinates),
     ``<prefix>_mixing.csv`` (p x k unit-norm modes) and
     ``<prefix>_eigvals.csv`` (k rows of real,imag).  Returns the three
@@ -126,9 +128,17 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     X = data.T.copy()  # internal orientation: channels x time
     if fill_missing and missing.any():
         X[missing.T] = 0.0
-        X = dmd.fill_in(X, k)
-    fac = dmd.dmf(X, tau, k)
-    C = fac.C_hat
+        U_k, coords = dmd.fill_in(X, k)
+        fac = dmd.dmf(coords, tau, k)
+        # the factorization of U_k @ coords is (U_k Q_hat D, C_hat D^-1) for
+        # the phases D that put each lifted mode in the linalg convention
+        Q = U_k @ fac.Q_hat
+        anchors = Q[np.abs(Q).argmax(axis=0), np.arange(k)]
+        phases = np.conj(anchors) / np.abs(anchors)
+        Q, C = Q * phases, fac.C_hat / phases
+    else:
+        fac = dmd.dmf(X, tau, k)
+        Q, C = fac.Q_hat, fac.C_hat
     if np.iscomplexobj(C):
         residue = np.abs(C.imag).max()
         if residue > 1e-8 * (1.0 + np.abs(C.real).max()):
@@ -137,8 +147,7 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
                 "writing real parts",
                 stacklevel=2,
             )
-        C = C.real
-    Q = fac.Q_hat.real if np.iscomplexobj(fac.Q_hat) else fac.Q_hat
+    Q, C = Q.real, C.real
     sources_path = f"{out_prefix}_sources.csv"
     mixing_path = f"{out_prefix}_mixing.csv"
     eig_path = f"{out_prefix}_eigvals.csv"

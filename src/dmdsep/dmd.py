@@ -25,17 +25,15 @@ from .linalg import ComplexEig
 class DmdResult:
     """Top-k eigenpairs of the lag-tau propagator.
 
-    ``rank`` is min(r, k) for the numerical rank r of X0; ``a_hat`` is the
-    p x p propagator, formed only when ``keep_operator`` is set (any p);
-    ``observed_q`` records the observation probability when the fit came
-    through the missing-data path (diagnostic only).
+    ``rank`` is min(r, k) for the numerical rank r of X0 (of the k x n
+    fill-in coordinates on the missing-data path); ``a_hat`` is the p x p
+    propagator, formed only when ``keep_operator`` is set (any p).
     """
 
     eig: ComplexEig
     tau: int
     rank: int
     a_hat: np.ndarray = None
-    observed_q: float = None
 
 
 @dataclass
@@ -135,44 +133,38 @@ def tsvd_dmd_fit(X_masked, q, tau, k):
     ``X_masked`` has unobserved entries set to zero.  With ``q == 1``
     there is nothing to fill in and the data passes through unchanged, so
     the result is identical to :func:`dmd_fit` bit for bit.  Otherwise the
-    fill-in ``U_k U_k^T X_masked`` (:func:`fill_in`) stays factored: the
+    fill-in ``U_k U_k^T X_masked`` stays factored (:func:`fill_in`): the
     k x n coordinates ``U_k^T X_masked`` are fitted and their modes lifted
-    by ``U_k``, which gives the propagator of the fill-in.  ``q`` is
-    recorded for diagnostics only; no 1/q rescaling is applied because the
-    propagator (hence its spectrum and eigenvectors) is invariant under
-    global rescaling of the data.
+    by ``U_k``, which gives the propagator of the fill-in.  No 1/q
+    rescaling is applied because the propagator (hence its spectrum and
+    eigenvectors) is invariant under global rescaling of the data.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"observation probability q={q} outside (0, 1]")
     if q == 1.0:
-        fit = dmd_fit(X_masked, tau, k)
-    else:
-        U_k = linalg.left_svd(X_masked)[0][:, :k]
-        fit = dmd_fit(U_k.T @ X_masked, tau, k)
-        fit.eig.vectors = linalg._phase_fix(U_k @ fit.eig.vectors)
-    fit.observed_q = q
+        return dmd_fit(X_masked, tau, k)
+    U_k, coords = fill_in(X_masked, k)
+    fit = dmd_fit(coords, tau, k)
+    fit.eig.vectors = linalg._phase_fix(U_k @ fit.eig.vectors)
     return fit
 
 
 def fill_in(X_zeroed, k):
-    """Rank-``k`` truncated-SVD surrogate ``U_k U_k^T X`` of data whose
-    missing entries are zero (the Eckart-Young best rank-k approximation)."""
+    """Rank-``k`` truncated-SVD fill-in of data whose missing entries are
+    zero, factored as ``(U_k, U_k^T X_zeroed)``: the surrogate
+    ``U_k U_k^T X_zeroed`` (the Eckart-Young best rank-k approximation)
+    is never formed."""
     if not 1 <= k <= min(np.shape(X_zeroed)):
         raise ValueError(f"k={k} out of range for shape {np.shape(X_zeroed)}")
     U_k = linalg.left_svd(X_zeroed)[0][:, :k]
-    return U_k @ (U_k.T @ X_zeroed)
-
-
-def left_vectors(Q_hat):
-    """Rows of pinv(Q_hat): the matched left eigenvectors used for unmixing."""
-    return linalg.pinv(Q_hat)
+    return U_k, U_k.T @ X_zeroed
 
 
 def recover_signals(X, left_vecs):
     """Recover unit-norm latent signals by projecting onto the left eigenvectors.
 
     ``left_vecs`` must be the rows of the pseudoinverse of the estimated
-    mode matrix (see :func:`left_vectors`).  Each projected column is
+    mode matrix, ``linalg.pinv(Q_hat)``.  Each projected column is
     phase-rotated to be as real as possible; if the residual imaginary
     energy exceeds 1e-6 times the column norm a warning is issued
     (genuinely complex modes mean the sources are not real-separable) and

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from . import baselines, dmd, lagstats, metrics, signals
+from . import baselines, dmd, lagstats, linalg, metrics, signals
 
 EIGENWALKER_Q = np.array(
     [[1.0 / 3.0, 2.0 / np.sqrt(5.0)], [2.0 / 3.0, 1.0 / np.sqrt(5.0)], [2.0 / 3.0, 0.0]]
@@ -172,7 +172,7 @@ def _propagator_modes(fit, X):
     """Modes, eigenvalues and the unit signals recovered from the data the
     fit saw (masked data for the missing-data suites)."""
     vectors = fit.eig.vectors
-    return vectors, fit.eig.values, dmd.recover_signals(X, dmd.left_vectors(vectors))
+    return vectors, fit.eig.values, dmd.recover_signals(X, linalg.pinv(vectors))
 
 
 def _dmf_modes(X, tau, k):

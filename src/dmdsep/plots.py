@@ -46,6 +46,29 @@ class _LogCanvas:
         return _H - _MB - f * (_H - _MT - _MB)
 
 
+def _ticks(canvas, axis, lo, hi):
+    """Tick marks and ``1eN`` labels at the decades of [lo, hi] that fall
+    inside the canvas, below the plot (``axis="x"``) or left of it."""
+    parts = []
+    for tick in _decades(lo, hi):
+        e = math.log10(tick)
+        if axis == "x" and canvas.x0 <= e <= canvas.x1:
+            v = f"{canvas.x(tick):.1f}"
+            line, text = (v, _H - _MB, v, _H - _MB + 5), (v, _H - _MB + 18, "middle")
+        elif axis == "y" and canvas.y0 <= e <= canvas.y1:
+            v = canvas.y(tick)
+            line = (_ML - 5, f"{v:.1f}", _ML, f"{v:.1f}")
+            text = (_ML - 8, f"{v + 4:.1f}", "end")
+        else:
+            continue
+        parts += [
+            '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="black"/>'.format(*line),
+            '<text x="{}" y="{}" text-anchor="{}" font-family="sans-serif" '
+            'font-size="11">1e{}</text>'.format(*text, int(e)),
+        ]
+    return parts
+
+
 def _svg_figure(title, xlabel, series, guide):
     """Assemble one SVG chart.
 
@@ -69,29 +92,8 @@ def _svg_figure(title, xlabel, series, guide):
         f'<text x="{_W / 2:.0f}" y="{_H - 10}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>',
     ]
-    for tick in _decades(min(xs), max(xs)):
-        if not (canvas.x0 <= math.log10(tick) <= canvas.x1):
-            continue
-        px = canvas.x(tick)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{_H - _MB}" x2="{px:.1f}" '
-            f'y2="{_H - _MB + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">1e{int(math.log10(tick))}</text>'
-        )
-    for tick in _decades(min(ys) / 2.0, max(ys) * 2.0):
-        if not (canvas.y0 <= math.log10(tick) <= canvas.y1):
-            continue
-        py = canvas.y(tick)
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{int(math.log10(tick))}</text>'
-        )
+    parts += _ticks(canvas, "x", min(xs), max(xs))
+    parts += _ticks(canvas, "y", min(ys) / 2.0, max(ys) * 2.0)
     for idx, (label, pts) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         coords = " ".join(f"{canvas.x(x):.1f},{canvas.y(y):.1f}" for x, y in pts)
@@ -158,46 +160,40 @@ def emit_plots(records_path, out_dir):
     The x-axis and the guide line's slope come from the suite's row of
     ``SUITE_TABLE``; the guide is anchored a factor of two above the first
     series' starting point and drawn only when the row has a slope and the
-    grid has at least two distinct x values.  Returns the written paths.
+    grid has at least two distinct x values; a suite with no positive finite
+    error gets no figure and no gnuplot script.  Nothing is written unless
+    some figure is.  Returns the written paths.
     """
     records = read_records(records_path)
-    os.makedirs(out_dir, exist_ok=True)
-    suites = sorted({rec.suite for rec in records})
-    written = []
-    for suite in suites:
+    if not records:
+        raise ValueError(f"records file {records_path} holds no records")
+    files = {}  # file name -> text, in the order written
+    for suite in sorted({rec.suite for rec in records}):
         suite_records = [r for r in records if r.suite == suite]
-        row = SUITE_TABLE[suite]
+        row, figures = SUITE_TABLE[suite], len(files)
         for kind in _KINDS:
             means = mean_errors(suite_records, field=kind)
             series = []
             for (method, tau), cells in sorted(means.items()):
-                pts = [
-                    (x, e)
-                    for x, e in cells.items()
-                    if e > 0.0 and math.isfinite(e)
-                ]
+                # positive and finite; NaN fails both comparisons
+                pts = [(x, e) for x, e in cells.items() if 0.0 < e < math.inf]
                 if pts:
                     series.append((f"{method} tau={tau}", pts))
             if not series:
                 continue
-            guide = None
-            slope = row.slope
-            first = series[0][1]
+            guide, first, slope = None, series[0][1], row.slope
             if slope is not None and len({x for _, pts in series for x, _ in pts}) >= 2:
-                x_lo, x_hi = first[0][0], first[-1][0]
-                y_lo = 2.0 * first[0][1]
-                guide = (
-                    slope,
-                    [(x_lo, y_lo), (x_hi, y_lo * (x_hi / x_lo) ** slope)],
-                )
-            path = os.path.join(out_dir, f"{suite}_{kind}.svg")
-            with open(path, "w") as fh:
-                fh.write(_svg_figure(f"{suite}: {kind}", row.x, series, guide))
-            written.append(path)
-        script = os.path.join(out_dir, f"{suite}_plots.gnuplot")
-        with open(script, "w") as fh:
-            fh.write(_gnuplot_script(suite, records_path))
-        written.append(script)
-    if not written:
+                (x_lo, y_lo), (x_hi, _) = first[0], first[-1]
+                y_lo *= 2.0
+                guide = (slope, [(x_lo, y_lo), (x_hi, y_lo * (x_hi / x_lo) ** slope)])
+            svg = _svg_figure(f"{suite}: {kind}", row.x, series, guide)
+            files[f"{suite}_{kind}.svg"] = svg
+        if len(files) > figures:
+            files[f"{suite}_plots.gnuplot"] = _gnuplot_script(suite, records_path)
+    if not files:
         raise ValueError("records contain no positive finite errors to plot")
-    return written
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+    return [os.path.join(out_dir, name) for name in files]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dmdsep
-from dmdsep import cli, dmd, experiments, metrics, plots, signals
+from dmdsep import cli, dmd, experiments, linalg, metrics, plots, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
 from dmdsep.experiments import (
     AUDIO_DEMO_Q,
@@ -41,6 +41,49 @@ def write_mixture_csv(path, n=20000):
 def read_numeric_csv(path):
     lines = path.read_text().strip().splitlines()
     return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def check_fill_missing_pipeline(tmp_path, S):
+    """``unmix --fill-missing`` on a gapped mixture of the columns of ``S``:
+    the reader against a per-cell ``float()`` parse and the writer against
+    17 significant digits, bit for bit, and the estimates, signs included,
+    against the factorization of the dense rank-2 fill-in."""
+    rng = np.random.default_rng(0)
+    X_true = rng.standard_normal((6, 2)) @ S.T + 1e-2 * rng.standard_normal((6, len(S)))
+    gapped = [
+        ",".join("" if rng.random() < 0.1 else format(v, ".17g") for v in row)
+        for row in X_true.T
+    ]
+    (tmp_path / "gaps.csv").write_text("\n".join(gapped) + "\n")
+    with pytest.raises(ValueError, match="fill-missing"):
+        unmix_csv(str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # complex mode pairs present
+        unmix_csv(
+            str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2, fill_missing=True
+        )
+    cells = [[float(c) if c else np.nan for c in ln.split(",")] for ln in gapped]
+    X = np.array(cells)
+    data, missing = read_timeseries_csv(str(tmp_path / "gaps.csv"), fill_missing=True)
+    assert np.array_equal(data, X, equal_nan=True)
+    assert np.array_equal(missing, np.isnan(X))
+    # oracle: the factorization of the dense surrogate U_k U_k^T X
+    X = X.T
+    X[np.isnan(X)] = 0.0
+    U_k = linalg.svd(X).U[:, :2]
+    fac = dmd.dmf(U_k @ (U_k.T @ X), 1, 2)
+    eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
+    for name, header, expected in (
+        ("sources", "source_1,source_2", fac.C_hat.real),
+        ("mixing", "mode_1,mode_2", fac.Q_hat.real),
+        ("eigvals", "real,imag", eig),
+    ):
+        written = read_numeric_csv(tmp_path / f"g_{name}.csv")
+        text = header + "\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in written
+        )
+        assert (tmp_path / f"g_{name}.csv").read_bytes() == text.encode(), name
+        assert np.abs(written - expected).max() <= 1e-12 * np.abs(expected).max(), name
 
 
 class TestReadTimeseriesCsv:
@@ -171,37 +214,15 @@ class TestUnmixCsv:
         assert np.array_equal(written, second)
 
     def test_missing_cells_pipeline(self, tmp_path):
-        model = write_mixture_csv(tmp_path / "full.csv", n=4000)
-        rng = np.random.default_rng(0)
-        lines = (tmp_path / "full.csv").read_text().strip().splitlines()
-        gapped = []
-        for ln in lines:
-            cells = ln.split(",")
-            cells = ["" if rng.random() < 0.1 else c for c in cells]
-            gapped.append(",".join(cells))
-        (tmp_path / "gaps.csv").write_text("\n".join(gapped) + "\n")
-        with pytest.raises(ValueError, match="fill-missing"):
-            unmix_csv(str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2)
-        unmix_csv(
-            str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2, fill_missing=True
-        )
-        sources = read_numeric_csv(tmp_path / "g_sources.csv")
-        assert np.all(np.isfinite(sources))
-        # the same pipeline from a per-cell float() parse, written per value
-        cells = [[float(c) if c else np.nan for c in ln.split(",")] for ln in gapped]
-        X = np.array(cells).T
-        X[np.isnan(X)] = 0.0
-        fac = dmd.dmf(dmd.fill_in(X, 2), 1, 2)
-        eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
-        for name, header, rows in (
-            ("sources", "source_1,source_2", fac.C_hat.real),
-            ("mixing", "mode_1,mode_2", fac.Q_hat.real),
-            ("eigvals", "real,imag", eig),
+        # six channels of two sources plus noise, 10% of the cells blank: two
+        # cosines give real modes, a cosine and its quadrature a complex pair
+        t = np.arange(4000)
+        for name, S in (
+            ("real", np.column_stack([np.cos(0.3 * t), np.cos(1.3 * t + 0.5)])),
+            ("complex", np.column_stack([np.cos(0.3 * t), np.sin(0.3 * t)])),
         ):
-            expected = header + "\n" + "".join(
-                ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
-            )
-            assert (tmp_path / f"g_{name}.csv").read_bytes() == expected.encode(), name
+            (tmp_path / name).mkdir()
+            check_fill_missing_pipeline(tmp_path / name, S)
 
     def test_rank_exceeds_channels(self, tmp_path):
         (tmp_path / "two.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
@@ -608,6 +629,27 @@ class TestEmitPlots:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             emit_plots(str(path), str(tmp_path / "plots"))
+
+    def test_header_only_records_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n")
+        assert main(["plots", str(path), "--out-dir", str(tmp_path / "p")]) == 1
+        assert "holds no records" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_no_positive_finite_errors_is_exit_1(self, tmp_path, capsys):
+        # NaN q and eig errors, zero s errors: nothing to draw on a log axis
+        path, nan = str(tmp_path / "r.csv"), np.nan
+        write_records(
+            [
+                ExperimentRecord("cosine", n, 3, 2, 1, 1.0, 0, "dmd", nan, 0.0, nan, 0)
+                for n in (1000, 4000)
+            ],
+            path,
+        )
+        assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 1
+        assert "no positive finite errors to plot" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_schema_mismatch_names_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -280,7 +280,10 @@ class TestFillIn:
             X = rng.standard_normal(shape)
             res = linalg.svd(X)
             best = (res.U[:, :k] * res.sigma[:k]) @ res.V[:, :k].T  # Eckart-Young
-            assert np.abs(dmd.fill_in(X, k) - best).max() <= 1e-10
+            U_k, coords = dmd.fill_in(X, k)
+            assert U_k.shape == (shape[0], k) and coords.shape == (k, shape[1])
+            assert np.abs(U_k.T @ U_k - np.eye(k)).max() <= 1e-12
+            assert np.abs(U_k @ coords - best).max() <= 1e-10
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_rejects_bad_rank(self, k):
@@ -295,7 +298,8 @@ class TestFillIn:
         X_masked = signals.apply_mask(model.X, signals.MaskSpec(q=q, seed=5))
         for tau in (1, 2):
             factored = dmd.tsvd_dmd_fit(X_masked, q, tau, k)
-            plain = dmd.dmd_fit(dmd.fill_in(X_masked, k), tau, k)
+            U_k, coords = dmd.fill_in(X_masked, k)
+            plain = dmd.dmd_fit(U_k @ coords, tau, k)
             assert np.abs(factored.eig.values - plain.eig.values).max() <= 1e-10
             assert np.abs(factored.eig.vectors - plain.eig.vectors).max() <= 1e-10
 
@@ -307,7 +311,6 @@ class TestTsvdDmdFit:
         filled = dmd.tsvd_dmd_fit(model.X, 1.0, 1, 2)
         assert np.array_equal(filled.eig.values, plain.eig.values)
         assert np.array_equal(filled.eig.vectors, plain.eig.vectors)
-        assert filled.observed_q == 1.0
 
     def test_rank_one_unmasked_exact(self):
         C = signals.gen_cosines(signals.CosineSpec(omegas=(0.25,)), 400)
@@ -334,6 +337,36 @@ class TestTsvdDmdFit:
         err_plain = metrics.align_columns(plain.eig.vectors, model.Q).total_sq_error
         assert err_filled <= 0.1 * err_plain
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(snapshot_series(), st.sampled_from((-3.7, 1e-4, 2.0**20)), st.data())
+    def test_scale_invariant_and_permutation_equivariant(self, case, c, data):
+        # as for dmd_fit, against the propagator of the dense rank-k fill-in,
+        # which is unique where sigma_k is separated from sigma_{k+1} or is
+        # below the rank cutoff
+        X, tau, k = case
+        perm = np.array(data.draw(st.permutations(range(X.shape[0]))))
+        res = linalg.svd(X)
+        sigma = res.sigma
+        assume(
+            k == sigma.size
+            or sigma[k - 1] - sigma[k] > 1e-3 * sigma[0]
+            or sigma[k - 1] <= linalg.RANK_TOL * sigma[0] * max(X.shape)
+        )
+        U_k = res.U[:, :k]
+        _, dense, scale = dense_oracle(U_k @ (U_k.T @ X), tau)
+        assume(top_k_is_unambiguous(dense.values, k, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = dmd.tsvd_dmd_fit(X, 0.5, tau, k)
+            scaled = dmd.tsvd_dmd_fit(c * X, 0.5, tau, k)
+            permuted = dmd.tsvd_dmd_fit(X[perm], 0.5, tau, k)
+        for fit, expected in ((scaled, base.eig.vectors), (permuted, base.eig.vectors[perm])):
+            assert fit.rank == base.rank
+            assert np.abs(fit.eig.values - base.eig.values).max() <= 1e-9 * scale
+            for j in range(k):
+                if simple_nonzero(dense.values, j, scale):
+                    assert phase_gap(fit.eig.vectors[:, j], expected[:, j]) <= 1e-8
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="q="):
             dmd.tsvd_dmd_fit(np.zeros((2, 10)), 0.0, 1, 1)
@@ -345,13 +378,13 @@ class TestRecoverSignals:
         Q = signals.random_unit_columns(8, 3, seed=3)
         C_raw = rng.standard_normal((300, 3))
         model = signals.assemble(Q, np.array([3.0, 2.0, 1.0]), C_raw)
-        S_hat = dmd.recover_signals(model.X, dmd.left_vectors(model.Q))
+        S_hat = dmd.recover_signals(model.X, linalg.pinv(model.Q))
         assert metrics.s_error(S_hat, model.S) <= 1e-20
 
     def test_walker_recovery(self):
         model = eigenwalker_model(1000)
         fit = dmd.dmd_fit(model.X, 1, 2)
-        S_hat = dmd.recover_signals(model.X, dmd.left_vectors(fit.eig.vectors))
+        S_hat = dmd.recover_signals(model.X, linalg.pinv(fit.eig.vectors))
         assert metrics.s_error(S_hat, model.S) <= 1e-5
 
     def test_mixed_ar1_pair(self):
@@ -366,7 +399,7 @@ class TestRecoverSignals:
             c2 = signals.gen_arma(signals.ArmaSpec(ar_coeffs=(0.7,)), 1000, seed=seed + 100)
             model = signals.assemble(Q, np.ones(2), np.column_stack([c1, c2]))
             fit = dmd.dmd_fit(model.X, 1, 2)
-            S_hat = dmd.recover_signals(model.X, dmd.left_vectors(fit.eig.vectors))
+            S_hat = dmd.recover_signals(model.X, linalg.pinv(fit.eig.vectors))
             assert metrics.s_error(S_hat, model.S) <= 0.05
 
     def test_warns_on_complex_residue(self):

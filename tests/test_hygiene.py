@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter: no import in the package or the
-demos goes unused, and every private module-level name of the package is
-referenced somewhere in the package."""
+demos goes unused, every private module-level name of the package is
+referenced somewhere in the package, and every name the package exports is
+bound in ``__init__.py``."""
 
 import ast
 from pathlib import Path
@@ -16,16 +17,22 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _exports(tree):
+    """The strings of the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def _read_names(tree):
     """Names the module reads, plus the strings its ``__all__`` exports."""
-    names = set()
+    names = set(_exports(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            names.update(ast.literal_eval(node.value))
     return names
 
 
@@ -55,16 +62,30 @@ def _references(tree):
     return names
 
 
-def _private_definitions(tree):
+def _definitions(tree):
+    """Names the module's top-level definitions and assignments bind."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (t for t in targets if t.startswith("_") and not t.startswith("__"))
+            yield from (t.id for t in nodes if isinstance(t, ast.Name))
+
+
+def _private_definitions(tree):
+    for name in _definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name
+
+
+def unbound_exports(tree):
+    """Strings of ``__all__`` that no top-level import or definition binds:
+    ``from module import *`` fails on each of them."""
+    bound = set(_definitions(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return [name for name in _exports(tree) if name not in bound]
 
 
 @pytest.mark.parametrize(
@@ -86,8 +107,16 @@ def test_private_module_names_are_referenced():
     assert unreferenced == []
 
 
+def test_package_exports_are_bound():
+    assert unbound_exports(_tree(ROOT / "src" / "dmdsep" / "__init__.py")) == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nimport numpy as np\nnp.ones(1)\n_unused = 1\n")
     assert unused_imports(tree) == ["os"]
     assert list(_private_definitions(tree)) == ["_unused"]
     assert "_unused" not in _references(tree)
+    # a name dropped from the imports but left in __all__
+    tree = ast.parse("from os import sep\ndef f(): pass\n__all__ = ['f', 'path', 'sep']\n")
+    assert unused_imports(tree) == []
+    assert unbound_exports(tree) == ["path"]

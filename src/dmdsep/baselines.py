@@ -3,9 +3,9 @@
 AMUSE whitens the data, forms the (non-circular) lag-tau covariance of
 the whitened series, and eigendecomposes its symmetric part; the
 estimated rotation is then unwhitened, so general mixing matrices are
-reachable through the whitening step.  PCA has no such step: its modes
-are orthonormal outright, which is exactly why it fails on
-non-orthogonal mixtures.
+reachable through the whitening step.  PCA stops at the whitening step:
+its modes are the orthonormal whitening basis, which is exactly why it
+fails on non-orthogonal mixtures.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,8 @@ def whiten_top_k(X, k):
     satisfies ``(1/n) Y Y^T = I_k`` and ``V, lam`` are the leading
     eigenpairs of the sample covariance (needed to unwhiten).  Rank-k
     noiseless data leaves the full p x p inverse square root undefined,
-    which is why the reduced form is used.
+    which is why the reduced form is used.  Numerical rank below ``k``
+    (an eigenvalue of ``lam`` at or below ``1e-12 * lam[0]``) is rejected.
     """
     X = np.asarray(X, dtype=float)
     p, n = X.shape
@@ -40,10 +41,11 @@ def whiten_top_k(X, k):
     cov = Xc @ Xc.T / n
     lam, V = linalg.eig_symmetric(cov)
     lam, V = lam[:k], V[:, :k]
-    if lam[-1] <= 0.0 or lam[-1] <= 1e-12 * lam[0]:
+    rank = int(np.sum(lam > max(0.0, 1e-12 * lam[0])))
+    if rank < k:
         raise ValueError(
-            f"sample covariance is degenerate on the top-{k} eigenspace "
-            f"(eigenvalues {lam})"
+            f"sample covariance is degenerate on the top-{k} eigenspace: numerical "
+            f"rank {rank} < k={k} (eigenvalues {lam})"
         )
     Y = (V / np.sqrt(lam)).T @ Xc
     return Y, V, lam
@@ -76,19 +78,13 @@ def amuse(X, tau, k):
 
 
 def pca_unmix(X, k):
-    """PCA baseline: top-k left singular vectors of the de-meaned data.
+    """PCA baseline: the top-k covariance eigenvectors of the de-meaned
+    data, which are AMUSE's whitening basis (:func:`whiten_top_k`), and
+    the whitened signals normalized.
 
     ``Q_hat`` is column-orthonormal by construction, so this estimator
     cannot represent a non-orthogonal mixing matrix.  De-meaned data of
     numerical rank below ``k`` has no top-k signals and is rejected.
     """
-    X = np.asarray(X, dtype=float)
-    if not 1 <= k <= min(X.shape):
-        raise ValueError(f"k={k} outside [1, {min(X.shape)}]")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    U, _, rank = linalg.left_svd(Xc)
-    if rank < k:
-        raise ValueError(f"de-meaned data has numerical rank {rank} < k={k}")
-    U_k = U[:, :k]
-    S_hat = Xc.T @ U_k  # = V_k diag(sigma_k)
-    return UnmixResult(Q_hat=U_k, S_hat=S_hat / np.linalg.norm(S_hat, axis=0))
+    Y, V, _ = whiten_top_k(X, k)
+    return UnmixResult(Q_hat=V, S_hat=Y.T / np.linalg.norm(Y, axis=1))

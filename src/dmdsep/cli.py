@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dmd, linalg
 from .experiments import (
-    SUITES, default_config, numbered_lines, run_experiment, summarize
+    SUITES, default_config, numbered_lines, run_experiment, summarize, write_csv
 )
 from .plots import emit_plots
 
@@ -96,17 +96,6 @@ def read_timeseries_csv(path, fill_missing=False):
     return data, missing
 
 
-def _write_csv(path, header, rows):
-    """Write ``rows`` (n x k) under ``header`` with 17 significant digits,
-    which round-trip float64 exactly."""
-    values = np.asarray(rows, dtype=float)
-    n, k = values.shape
-    row = ",".join(["%.17g"] * k) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row * n % tuple(values.ravel().tolist()))
-
-
 def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     """Unmix a time-major CSV via the mean-aware factorization.
 
@@ -131,11 +120,10 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
         U_k, coords = dmd.fill_in(X, k)
         fac = dmd.dmf(coords, tau, k)
         # the factorization of U_k @ coords is (U_k Q_hat D, C_hat D^-1) for
-        # the phases D that put each lifted mode in the linalg convention
-        Q = U_k @ fac.Q_hat
-        anchors = Q[np.abs(Q).argmax(axis=0), np.arange(k)]
-        phases = np.conj(anchors) / np.abs(anchors)
-        Q, C = Q * phases, fac.C_hat / phases
+        # the unit factors D that put each lifted mode in the linalg
+        # convention; U_k^T (U_k Q_hat D) = Q_hat D with unit columns Q_hat
+        Q = linalg._phase_fix(U_k @ fac.Q_hat)
+        C = fac.C_hat / np.sum(fac.Q_hat.conj() * (U_k.T @ Q), axis=0)
     else:
         fac = dmd.dmf(X, tau, k)
         Q, C = fac.Q_hat, fac.C_hat
@@ -151,10 +139,10 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     sources_path = f"{out_prefix}_sources.csv"
     mixing_path = f"{out_prefix}_mixing.csv"
     eig_path = f"{out_prefix}_eigvals.csv"
-    _write_csv(sources_path, [f"source_{j + 1}" for j in range(k)], C)
-    _write_csv(mixing_path, [f"mode_{j + 1}" for j in range(k)], Q)
+    write_csv(sources_path, [f"source_{j + 1}" for j in range(k)], C)
+    write_csv(mixing_path, [f"mode_{j + 1}" for j in range(k)], Q)
     eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
-    _write_csv(eig_path, ["real", "imag"], eig)
+    write_csv(eig_path, ["real", "imag"], eig)
     return sources_path, mixing_path, eig_path
 
 
@@ -167,7 +155,6 @@ def _list_of(kind):
 _CONFIG_KEYS = {
     "suite": (str, "suite", None),
     "p": (int, "p", "--p"),
-    "k": (int, "k", "--k"),
     "trials": (int, "trials", "--trials"),
     "seed": (int, "seed", "--seed"),
     "out": (str, "out_path", "--out"),

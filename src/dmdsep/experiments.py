@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -82,6 +82,8 @@ class ExperimentConfig:
         for q in self.q_grid:
             if not 0.0 < q <= 1.0:
                 raise ValueError(f"q_grid entries must lie in (0, 1], got {q}")
+        if not row.masked and tuple(self.q_grid) != (1.0,):
+            raise ValueError(f"q_grid must be (1.0,) for unmasked {self.suite}, got {self.q_grid}")
         for n in self.n_grid:
             if n < 2 * self.k:
                 raise ValueError(f"n_grid entries must be >= 2k, got n={n}")
@@ -302,8 +304,7 @@ def run_experiment(cfg):
     """
     cfg.validate()
     row = SUITE_TABLE[cfg.suite]
-    q_grid = cfg.q_grid if row.masked else (1.0,)
-    cells = itertools.product(row.models, cfg.n_grid, q_grid, range(cfg.trials))
+    cells = itertools.product(row.models, cfg.n_grid, cfg.q_grid, range(cfg.trials))
     records = []
     with warnings.catch_warnings():
         if row.quiet:
@@ -331,19 +332,20 @@ def run_experiment(cfg):
     return records
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_records(records, path):
-    """Write records as CSV; floats use 17 significant digits (round-trip exact)."""
-    lines = [",".join(RECORD_FIELDS)]
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, name)) for name in RECORD_FIELDS))
+    """Write records as CSV with :func:`write_csv`."""
+    write_csv(path, RECORD_FIELDS, [astuple(rec) for rec in records])
+
+
+def write_csv(path, header, rows):
+    """Write ``rows`` (a list or an array) under the ``header`` names as
+    CSV: strings as they are, numbers with 17 significant digits, which
+    round-trip float64 exactly.  The first row sets each column's kind."""
+    kinds = ["%s" if isinstance(v, str) else "%.17g" for row in rows[:1] for v in row]
+    flat = rows.ravel().tolist() if isinstance(rows, np.ndarray) else itertools.chain(*rows)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write((",".join(kinds) + "\n") * len(rows) % tuple(flat))
 
 
 def numbered_lines(path):

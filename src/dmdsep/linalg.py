@@ -44,8 +44,8 @@ class ComplexEig:
     """Eigenpairs sorted by modulus (desc), ties by real then imaginary part.
 
     Each eigenvector has unit 2-norm and is rotated so its largest-modulus
-    entry is real and strictly positive; for real eigenvalues this reduces
-    to a sign convention.
+    entry is real, up to rounding, and positive (:func:`_phase_fix`); for
+    real eigenvalues this reduces to a sign convention.
     """
 
     values: np.ndarray
@@ -98,8 +98,7 @@ def left_svd(A):
     """``(U, sigma, rank)`` of ``A`` as from :func:`svd`, without the right
     factor: only R of ``A.T = Q R`` is formed (:func:`qr_r`), and
     ``R = P diag(sigma) U.T`` gives ``A = U diag(sigma) (Q P).T``."""
-    A = _as_matrix(A)
-    return _left_svd_of_r(qr_r(A.T), A.shape)
+    return _left_svd_of_r(qr_r(np.transpose(A)), np.shape(A))
 
 
 def _left_svd_of_r(R, shape):
@@ -121,20 +120,16 @@ def pinv(A):
 
 
 def _phase_fix(vectors):
-    """Unit-normalize columns and rotate each so the largest-modulus entry
-    is real positive.  Multiplying by conj(v[a])/|v[a]| cancels the
-    imaginary part of the anchor entry exactly in IEEE arithmetic."""
+    """Unit-normalize columns and rotate each, by conj(v[a])/|v[a]|, so its
+    largest-modulus entry v[a] is real positive up to rounding of the
+    imaginary part; zero columns pass through."""
     out = np.array(vectors, dtype=complex, copy=True)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        v = v / nrm
-        a = int(np.argmax(np.abs(v)))
-        v = v * (np.conj(v[a]) / abs(v[a]))
-        out[:, j] = v
-    return out
+    if not out.size:
+        return out
+    nrm = np.linalg.norm(out, axis=0)
+    out /= np.where(nrm > 0.0, nrm, 1.0)
+    anchors = out[np.abs(out).argmax(axis=0), np.arange(out.shape[1])]
+    return out * (np.conj(anchors) / np.where(nrm > 0.0, np.abs(anchors), 1.0))
 
 
 def _eig_order(values):
@@ -175,9 +170,5 @@ def eig_symmetric(A):
     if asym > SYM_TOL * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     values, vectors = np.linalg.eigh((A + A.T) / 2.0)
-    vectors = vectors[:, ::-1]
-    if vectors.size:  # the sign convention of _phase_fix, without renormalizing
-        anchors = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
-        vectors = vectors * np.where(anchors < 0.0, -1.0, 1.0)
-    return values[::-1], vectors
+    return values[::-1], _phase_fix(vectors[:, ::-1]).real
 

@@ -103,6 +103,14 @@ class TestPcaUnmix:
         assert np.abs(res.Q_hat - full.U[:, :k] * signs).max() <= 1e-10
         assert np.abs(res.S_hat - full.V[:, :k] * signs).max() <= 1e-10
 
+    def test_is_the_whitening_basis(self):
+        # PCA stops where AMUSE starts: the whitening basis and signals
+        model = cosine_model(30, 2, (0.3, 1.2), (3.0, 1.0), seed=6, n=2000)
+        res = baselines.pca_unmix(model.X, 2)
+        Y, V, _ = baselines.whiten_top_k(model.X, 2)
+        assert np.array_equal(res.Q_hat, V)
+        assert np.abs(res.S_hat - Y.T / np.linalg.norm(Y.T, axis=0)).max() <= 1e-15
+
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="k="):
             baselines.pca_unmix(np.zeros((3, 10)), 4)

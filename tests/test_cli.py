@@ -161,11 +161,25 @@ class TestWriteCsv:
         )
         path = tmp_path / "w.csv"
         for rows in (values, values[:0]):
-            cli._write_csv(str(path), ["a", "b"], rows)
+            experiments.write_csv(str(path), ["a", "b"], rows)
             expected = "a,b\n" + "".join(
                 ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
             )
             assert path.read_bytes() == expected.encode()
+
+    def test_mixed_str_int_float_rows(self, tmp_path):
+        rows = [
+            ("cosine", 500, np.nan, -0.0, "dmd(w2=0.5)", 0.1),
+            ("arma", -7, np.inf, 5e-324, "pca", -np.inf),
+            ("missing-q", 0, 1.0, 1e308, "tsvd-dmd", 12345678901234567.0),
+        ]
+        path = tmp_path / "m.csv"
+        experiments.write_csv(str(path), ["s", "i", "f", "g", "t", "h"], rows)
+        expected = "s,i,f,g,t,h\n" + "".join(
+            ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n"
+            for row in rows
+        )
+        assert path.read_bytes() == expected.encode()
 
 
 class TestUnmixCsv:
@@ -427,7 +441,6 @@ class TestMainExitCodes:
             ("--trials", "two"),
             ("--seed", "1.5"),
             ("--p", "x"),
-            ("--k", "2.5"),
         ],
     )
     def test_malformed_flag_is_exit_1(self, flag, raw, capsys):
@@ -469,8 +482,13 @@ class TestMainExitCodes:
         assert cfg.p == default_config("cosine").p
 
     def test_wrong_suite_shape_is_exit_1(self, capsys):
-        assert main(["experiment", "eigenwalker", "--k", "3"]) == 1
-        assert "k must be 2" in capsys.readouterr().err
+        assert main(["experiment", "eigenwalker", "--p", "4"]) == 1
+        assert "p must be 3" in capsys.readouterr().err
+
+    def test_q_grid_of_unmasked_suite_is_exit_1(self, capsys):
+        # a suite that does not mask runs at q = 1 only; any other grid is an error
+        assert main(["experiment", "cosine", "--q-grid", "0.5"]) == 1
+        assert "q_grid must be (1.0,) for unmasked cosine" in capsys.readouterr().err
 
     def test_bad_csv_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

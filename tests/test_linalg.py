@@ -254,6 +254,45 @@ class TestEigNonsymmetric:
             linalg.eig_nonsymmetric(np.zeros((2, 3)))
 
 
+def phase_fix_per_column(vectors):
+    """The per-column loop that ``linalg._phase_fix`` vectorizes."""
+    out = np.array(vectors, dtype=complex, copy=True)
+    for j in range(out.shape[1]):
+        nrm = np.linalg.norm(out[:, j])
+        if nrm == 0.0:
+            continue
+        v = out[:, j] / nrm
+        a = int(np.argmax(np.abs(v)))
+        out[:, j] = v * (np.conj(v[a]) / abs(v[a]))
+    return out
+
+
+class TestPhaseFix:
+    @pytest.mark.parametrize(
+        "case", ["real", "complex-pair", "zero-column", "empty", "one-row"]
+    )
+    def test_matches_per_column_loop(self, case):
+        rng = np.random.default_rng(12)
+        vectors = {
+            "real": random_matrix(rng, 30, 6, scale=3.0),
+            "complex-pair": np.linalg.eig(random_matrix(rng, 6, 6))[1] * (2.0 - 1.5j),
+            "zero-column": np.column_stack([random_matrix(rng, 5, 2), np.zeros(5)]),
+            "empty": np.zeros((0, 0)),
+            "one-row": random_matrix(rng, 1, 4) + 1j * random_matrix(rng, 1, 4),
+        }[case]
+        if case == "complex-pair":
+            assert np.abs(vectors.imag).max() > 0.1
+        got = linalg._phase_fix(vectors)
+        want = phase_fix_per_column(vectors)
+        assert got.shape == want.shape == vectors.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15
+        for v in got.T[np.any(got != 0.0, axis=0)]:
+            a = int(np.argmax(np.abs(v)))
+            assert abs(v[a].imag) <= 1e-16 and v[a].real > 0.0
+        if case == "zero-column":
+            assert not got[:, -1].any()
+
+
 class TestEigSymmetric:
     def test_identity(self):
         values, vectors = linalg.eig_symmetric(np.eye(2))

@@ -9,8 +9,9 @@ silent half, exposing the changepoints.
 
 import numpy as np
 
-from dmdsep import align_columns, dmf
+from dmdsep.dmd import dmf
 from dmdsep.experiments import changepoint_model, default_config, derive_seed
+from dmdsep.metrics import align_columns
 
 cfg = default_config("changepoint")
 seed = derive_seed(cfg.seed, "changepoint", "signal", 1000, 0)

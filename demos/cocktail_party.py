@@ -11,10 +11,10 @@ import tempfile
 
 import numpy as np
 
-from dmdsep import assemble, s_error
 from dmdsep.cli import unmix_csv
 from dmdsep.experiments import AUDIO_DEMO_Q
-from dmdsep.signals import natural_scales
+from dmdsep.metrics import s_error
+from dmdsep.signals import assemble, natural_scales
 
 n = 50000
 t = np.arange(1, n + 1)

@@ -8,8 +8,11 @@ eigenvalues land on the cosines of the two frequencies.
 
 import numpy as np
 
-from dmdsep import align_columns, dmd_fit, pca_unmix, pinv, recover_signals, s_error
+from dmdsep.baselines import pca_unmix
+from dmdsep.dmd import dmd_fit, recover_signals
 from dmdsep.experiments import eigenwalker_model
+from dmdsep.linalg import pinv
+from dmdsep.metrics import align_columns, s_error
 
 model = eigenwalker_model(n=1000)
 print("true mixing directions (columns):")

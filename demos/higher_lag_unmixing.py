@@ -8,8 +8,10 @@ separation, so the lag-2 fit is markedly more accurate.
 
 import numpy as np
 
-from dmdsep import ArmaSpec, align_columns, assemble, dmd_fits, gen_arma, random_unit_columns
+from dmdsep.dmd import dmd_fits
 from dmdsep.lagstats import ar_theoretical_acf
+from dmdsep.metrics import align_columns
+from dmdsep.signals import ArmaSpec, assemble, gen_arma, random_unit_columns
 
 specs = (ArmaSpec(ar_coeffs=(0.2, 0.7)), ArmaSpec(ar_coeffs=(0.3, 0.5)))
 for i, spec in enumerate(specs):

@@ -10,16 +10,15 @@ import warnings
 
 import numpy as np
 
-from dmdsep import (
+from dmdsep.dmd import dmd_fit, tsvd_dmd_fit
+from dmdsep.metrics import align_columns
+from dmdsep.signals import (
     CosineSpec,
     MaskSpec,
-    align_columns,
     apply_mask,
     assemble,
-    dmd_fit,
     gen_cosines,
     random_unit_columns,
-    tsvd_dmd_fit,
 )
 
 p, n, k = 500, 10000, 2

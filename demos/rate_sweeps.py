@@ -8,8 +8,8 @@ a 1/n reference guide.
 import os
 import tempfile
 
-from dmdsep import emit_plots
 from dmdsep.experiments import default_config, run_experiment, summarize
+from dmdsep.plots import emit_plots
 
 with tempfile.TemporaryDirectory(prefix="rates_") as workdir:
     cfg = default_config("cosine")

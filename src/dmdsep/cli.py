@@ -256,12 +256,12 @@ def main(argv=None):
         elif args.command == "plots":
             for path in emit_plots(args.records, args.out_dir):
                 print(f"wrote {path}")
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (linalg.NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

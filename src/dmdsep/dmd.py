@@ -47,7 +47,6 @@ class DmfResult:
 
     Q_hat: np.ndarray
     C_hat: np.ndarray
-    mu_hat: np.ndarray
     eigvals: np.ndarray
     mean_residual: float
 
@@ -201,31 +200,26 @@ def recover_signals(X, left_vecs):
 def dmf(X, tau, k):
     """Dynamic mode factorization: de-mean, fit, and factor ``X ~= Q_hat @ C_hat.T``.
 
-    Steps: estimate the column mean ``mu_hat``, fit the lag-``tau``
-    propagator of the de-meaned data, take the top-``k`` eigenvectors as
-    ``Q_hat``, and push both the de-meaned data and the mean back through
-    ``pinv(Q_hat)`` to get coordinates ``C_hat`` that include the mean.
-    The part of ``mu_hat`` outside span(Q_hat) cannot be represented by a
-    rank-k factorization; it is dropped and its norm reported.
+    Steps: fit the lag-``tau`` propagator of the data less its column
+    mean ``mu``, take the top-``k`` eigenvectors as ``Q_hat``, and push the
+    raw data through ``pinv(Q_hat)`` to get coordinates ``C_hat`` that
+    include the mean.  The part of ``mu`` outside span(Q_hat) cannot be
+    represented by a rank-k factorization; it is dropped and its norm
+    reported.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if not 1 <= k <= min(X.shape[0], n - tau - 1):
         raise ValueError(f"k={k} out of range for shape {X.shape} at tau={tau}")
     mu = X.mean(axis=1)
-    Xbar = X - mu[:, None]
-    fit = dmd_fit(Xbar, tau, k)
+    fit = dmd_fit(X - mu[:, None], tau, k)
     Q_hat = fit.eig.vectors
     if np.all(fit.eig.values.imag == 0.0):
         Q_hat = Q_hat.real
     W = linalg.pinv(Q_hat)
-    coords_mean = W @ mu
-    C_hat = (np.outer(coords_mean, np.ones(n)) + W @ Xbar).T
-    mean_residual = float(np.linalg.norm(mu - Q_hat @ coords_mean))
     return DmfResult(
         Q_hat=Q_hat,
-        C_hat=C_hat,
-        mu_hat=mu,
+        C_hat=(W @ X).T,
         eigvals=fit.eig.values,
-        mean_residual=mean_residual,
+        mean_residual=float(np.linalg.norm(mu - Q_hat @ (W @ mu))),
     )

@@ -369,16 +369,22 @@ _FIELD_MINIMUMS = {"n": 1, "p": 1, "k": 1, "tau": 1, "trial": 0, "wall_ms": 0}
 def read_records(path):
     """Read a records CSV written by :func:`write_records`.
 
-    A row that does not parse, names a suite not in ``SUITE_TABLE`` or
-    holds an out-of-range value raises a ``ValueError`` naming its line.
+    A header other than ``RECORD_FIELDS``, or a row that does not parse,
+    names a suite not in ``SUITE_TABLE`` or holds an out-of-range value,
+    raises a ``ValueError`` naming its line.
     """
     lines = [(no, ln.strip()) for no, ln in numbered_lines(path) if ln.strip()]
     if not lines:
         raise ValueError(f"records file {path} is empty")
-    header = lines[0][1].split(",")
+    header_no, header = lines[0][0], lines[0][1].split(",")
     if header != list(RECORD_FIELDS):
-        missing = set(RECORD_FIELDS) - set(header)
-        raise ValueError(f"records file {path} missing columns {sorted(missing)}")
+        missing = [name for name in RECORD_FIELDS if name not in header]
+        unexpected = [name for name in header if name not in RECORD_FIELDS]
+        raise ValueError(
+            f"records file {path} line {header_no}: header is not "
+            f"{','.join(RECORD_FIELDS)!r}: missing columns {missing}, "
+            f"unexpected columns {unexpected}"
+        )
     records = []
     for line_no, line in lines[1:]:
         where = f"records file {path} line {line_no}"

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NumericalError(RuntimeError):
-    """An iterative factorization failed to converge."""
-
-
 def _as_matrix(A, dtype=float):
     A = np.asarray(A, dtype=dtype)
     if A.ndim != 2:
@@ -72,10 +68,7 @@ def svd(A):
     """Thin singular value decomposition of a real or complex matrix, with
     the numerical rank (see ``RANK_TOL``)."""
     A = _as_matrix(A, dtype=complex if np.iscomplexobj(A) else float)
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     return SvdResult(U=U, sigma=s, V=Vh.T, rank=_rank(s, A.shape))
 
 
@@ -143,15 +136,12 @@ def eig_nonsymmetric(A):
 
     Returns a :class:`ComplexEig` with the module's ordering and phase
     conventions.  A non-converged QR iteration raises
-    :class:`NumericalError` rather than returning partial output.
+    ``np.linalg.LinAlgError`` rather than returning partial output.
     """
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
-    try:
-        values, vectors = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+    values, vectors = np.linalg.eig(A)
     order = _eig_order(values)
     return ComplexEig(values=values[order], vectors=_phase_fix(vectors[:, order]))
 

@@ -215,13 +215,11 @@ class TestUnmixCsv:
         # format fidelity: written sources re-read must reproduce the
         # in-memory factorization coordinates (17 significant digits
         # round-trip float64 exactly)
-        from dmdsep import dmf
-
         write_mixture_csv(tmp_path / "mix.csv", n=3000)
         unmix_csv(str(tmp_path / "mix.csv"), str(tmp_path / "rt"), tau=1, k=2)
         written = read_numeric_csv(tmp_path / "rt_sources.csv")
         data, _ = cli.read_timeseries_csv(str(tmp_path / "mix.csv"))
-        in_memory = dmf(data.T, 1, 2).C_hat.real
+        in_memory = dmd.dmf(data.T, 1, 2).C_hat.real
         assert np.abs(written - in_memory).max() <= 1e-12
         unmix_csv(str(tmp_path / "mix.csv"), str(tmp_path / "rt2"), tau=1, k=2)
         second = read_numeric_csv(tmp_path / "rt2_sources.csv")
@@ -524,6 +522,20 @@ class TestMainExitCodes:
         assert code == 0
         assert (tmp_path / "u_sources.csv").exists()
 
+    # LinAlgError is a ValueError: the eig and the QR of the snapshots
+    # must both reach exit 2, not the validation-error exit 1
+    @pytest.mark.parametrize("kernel", ["eig", "qr"])
+    def test_numerical_failure_is_exit_2(self, tmp_path, capsys, monkeypatch, kernel):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{kernel} did not converge")
+
+        write_mixture_csv(tmp_path / "mix.csv", n=3000)
+        monkeypatch.setattr(np.linalg, kernel, no_convergence)
+        argv = ["unmix", str(tmp_path / "mix.csv"), "--out-prefix", str(tmp_path / "u")]
+        assert main(argv) == 2
+        assert f"numerical failure: {kernel} did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "u_sources.csv").exists()
+
 
 def write_grid_records(path, suite, cells=None):
     """Records of ``suite`` at two (n, q) grid points, so a guide can be
@@ -675,24 +687,50 @@ class TestEmitPlots:
         with pytest.raises(ValueError, match="missing columns"):
             emit_plots(str(path), str(tmp_path / "plots"))
 
+    @pytest.mark.parametrize(
+        "header,missing,unexpected",
+        [
+            (",".join(reversed(RECORD_FIELDS)), [], []),
+            (",".join(RECORD_FIELDS) + ",extra", [], ["extra"]),
+            (",".join(RECORD_FIELDS[:-1]), ["wall_ms"], []),
+        ],
+        ids=["reversed", "extra", "short"],
+    )
+    def test_header_mismatch_is_exit_1(self, tmp_path, capsys, header, missing, unexpected):
+        path = write_grid_records(tmp_path / "r.csv", "cosine")
+        lines = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join(["", header] + lines[1:]) + "\n")
+        assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: header is not {','.join(RECORD_FIELDS)!r}" in err
+        assert f"missing columns {missing}, unexpected columns {unexpected}" in err
+
     def test_plots_cli_exit_codes(self, tmp_path, capsys):
         path = self._records(tmp_path, "eigenwalker")
         assert main(["plots", path, "--out-dir", str(tmp_path / "p")]) == 0
         assert main(["plots", str(tmp_path / "nope.csv")]) == 1
 
 
+LAYERS = ["baselines", "dmd", "experiments", "lagstats", "linalg", "metrics", "plots", "signals"]
+
+
 def test_import_skips_slow_scipy_modules():
     # every CLI call pays the package import; scipy.signal, scipy.optimize
-    # and scipy.stats are loaded only by the functions that use them
+    # and scipy.stats are loaded only by the functions that use them.  The
+    # package namespace is its eight layer modules, and not the CLI
     env = dict(os.environ)
     src = str(Path(dmdsep.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, dmdsep; "
         "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
-        "if m in sys.modules])"
+        "if m in sys.modules]); "
+        "print(sorted(m for m in sys.modules if m.startswith('dmdsep.'))); "
+        "print(dmdsep.__all__)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == [
+        "[]", str([f"dmdsep.{name}" for name in LAYERS]), str(LAYERS)
+    ]

@@ -102,9 +102,9 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
     With ``fill_missing`` the pipeline is zero-fill, then the factorization
     of the rank-``k`` truncated-SVD fill-in (:func:`dmd.fill_in`), fitted
     on its k x n coordinates and lifted to the channels; otherwise the
-    data is factorized as-is.
-    Writes ``<prefix>_sources.csv`` (n x k coordinates),
-    ``<prefix>_mixing.csv`` (p x k unit-norm modes) and
+    data is factorized as-is.  A rank below ``k`` or complex modes warn,
+    and rank 0 is an error.  Writes ``<prefix>_sources.csv`` (n x k
+    coordinates), ``<prefix>_mixing.csv`` (p x k unit-norm modes) and
     ``<prefix>_eigvals.csv`` (k rows of real,imag).  Returns the three
     paths.
     """
@@ -123,10 +123,19 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
         # the unit factors D that put each lifted mode in the linalg
         # convention; U_k^T (U_k Q_hat D) = Q_hat D with unit columns Q_hat
         Q = linalg._phase_fix(U_k @ fac.Q_hat)
+        Q = Q if np.iscomplexobj(fac.Q_hat) else Q.real  # real modes keep C real
         C = fac.C_hat / np.sum(fac.Q_hat.conj() * (U_k.T @ Q), axis=0)
     else:
         fac = dmd.dmf(X, tau, k)
         Q, C = fac.Q_hat, fac.C_hat
+    if fac.rank == 0:
+        raise ValueError(f"{in_path}: numerical rank 0, no variation to unmix")
+    if fac.rank < k:
+        warnings.warn(
+            f"snapshot matrix has numerical rank {fac.rank} < requested k={k}; "
+            "trailing modes are noise",
+            stacklevel=2,
+        )
     if np.iscomplexobj(C):
         residue = np.abs(C.imag).max()
         if residue > 1e-8 * (1.0 + np.abs(C.real).max()):

@@ -12,7 +12,6 @@ SVD to fill zeroed-out missing entries, and ``dmf`` wraps the fit into a
 mean-aware factorization ``X ~= Q_hat @ C_hat.T`` for raw data matrices.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,14 @@ class DmfResult:
     ``mean_residual`` is the norm of the part of the column mean lying
     outside span(Q_hat); it is exactly the reconstruction defect
     introduced by folding the mean back through the rank-k factors.
+    ``rank`` is the fit's min(r, k), as on :class:`DmdResult`.
     """
 
     Q_hat: np.ndarray
     C_hat: np.ndarray
     eigvals: np.ndarray
     mean_residual: float
+    rank: int
 
 
 def dmd_fit(X, tau, k, keep_operator=False):
@@ -71,9 +72,9 @@ def dmd_fit(X, tau, k, keep_operator=False):
     ``B U_r^T``, and each eigenpair ``(lam, w)`` of the r x r matrix
     ``U_r^T B`` gives its eigenpair ``(lam, B w)``, or ``(0, U_r w)`` where
     ``B w`` vanishes.  Eigenpairs are sorted by modulus descending with the
-    phase convention of :mod:`dmdsep.linalg`.  A rank r < k triggers a
-    warning; the k - r trailing modes are the next left singular vectors
-    of X0, null vectors of the propagator, with eigenvalue 0.
+    phase convention of :mod:`dmdsep.linalg`.  ``rank`` reports min(r, k)
+    and nothing warns; the k - r trailing modes are the next left singular
+    vectors of X0, null vectors of the propagator, with eigenvalue 0.
     """
     return next(dmd_fits(X, (tau,), k, keep_operator))
 
@@ -104,12 +105,6 @@ def dmd_fits(X, taus, k, keep_operator=False):
         X0, X1 = X[:, : n - tau], X[:, tau:]
         R0 = R if n - tau == m_pre else linalg.qr_r(np.vstack([R, X0[:, m_pre:].T]))
         U, sigma, r = linalg._left_svd_of_r(R0, X0.shape)
-        if r < k:
-            warnings.warn(
-                f"snapshot matrix has numerical rank {r} < requested k={k}; "
-                "trailing modes are noise",
-                stacklevel=2,
-            )
         U_r = U[:, :r]
         # X0^T U_r S_r^-2 = V_r S_r^-1, so V_r is never formed on its own
         B = X1 @ (X0.T @ (U_r / sigma[:r] ** 2))
@@ -164,10 +159,10 @@ def recover_signals(X, left_vecs):
 
     ``left_vecs`` must be the rows of the pseudoinverse of the estimated
     mode matrix, ``linalg.pinv(Q_hat)``.  Each projected column is
-    phase-rotated to be as real as possible; if the residual imaginary
-    energy exceeds 1e-6 times the column norm a warning is issued
-    (genuinely complex modes mean the sources are not real-separable) and
-    the real part is taken regardless.
+    phase-rotated to be as real as possible, and its real part is
+    normalized.  Genuinely complex modes (a conjugate pair among the
+    fit's eigenvalues) leave an imaginary part, which is dropped without
+    a warning.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(left_vecs)
@@ -182,13 +177,6 @@ def recover_signals(X, left_vecs):
             m = np.sum(z * z)
             if abs(m) > 0:
                 z = z * np.exp(-0.5j * np.angle(m))
-            residue = np.linalg.norm(z.imag)
-            if residue > 1e-6 * np.linalg.norm(z):
-                warnings.warn(
-                    f"recovered signal {j} has imaginary residue "
-                    f"{residue:.3e}; modes appear genuinely complex",
-                    stacklevel=2,
-                )
             z = z.real
         nrm = np.linalg.norm(z)
         if nrm == 0.0:
@@ -222,4 +210,5 @@ def dmf(X, tau, k):
         C_hat=(W @ X).T,
         eigvals=fit.eig.values,
         mean_residual=float(np.linalg.norm(mu - Q_hat @ (W @ mu))),
+        rank=fit.rank,
     )

@@ -21,7 +21,6 @@ n or q, so grid cells within a trial are paired.
 import hashlib
 import itertools
 import time
-import warnings
 from dataclasses import astuple, dataclass, fields
 from functools import partial
 
@@ -231,8 +230,8 @@ class Suite:
     Bernoulli-masked copy of the data at every ``q_grid`` entry, any other
     row ``model.X`` itself at q = 1.  The models have ``k`` sources and,
     where ``p`` is set, that many channels; ``preset`` holds the other
-    defaults, and ``quiet`` silences warnings.  Plots put the record field
-    ``x`` on the x-axis, with the theory's decay ``slope`` as a guide.
+    defaults.  Plots put the record field ``x`` on the x-axis, with the
+    theory's decay ``slope`` as a guide.
     """
 
     models: dict
@@ -243,7 +242,6 @@ class Suite:
     x: str = "n"
     slope: float = None
     masked: bool = False
-    quiet: bool = False
 
 
 _COSINE_PAIRS = {
@@ -262,19 +260,19 @@ SUITE_TABLE = {
     "arma": Suite(
         {"": _arma_model}, ("dmd",),
         dict(n_grid=(1000, 3162, 10000, 31623, 100000), tau_list=(1, 2), trials=50),
-        slope=-1.0, quiet=True,
+        slope=-1.0,
     ),
     # plain DMD on heavily masked data legitimately produces complex junk
     # modes; the recorded errors are the diagnostic
     "missing-q": Suite(
         _SCALED_PAIR, ("tsvd-dmd", "dmd"),
         dict(n_grid=(10000,), p=500, q_grid=(0.05, 0.1, 0.2, 0.35, 0.5), trials=10),
-        x="q", slope=-1.5, masked=True, quiet=True,
+        x="q", slope=-1.5, masked=True,
     ),
     "missing-n": Suite(
         _SCALED_PAIR, ("tsvd-dmd", "dmd"),
         dict(n_grid=(2500, 5000, 10000, 20000), p=500, q_grid=(0.1,), trials=10),
-        slope=-0.5, masked=True, quiet=True,
+        slope=-0.5, masked=True,
     ),
     "amuse-compare": Suite(
         _SCALED_PAIR, ("dmd", "amuse"),
@@ -306,27 +304,24 @@ def run_experiment(cfg):
     row = SUITE_TABLE[cfg.suite]
     cells = itertools.product(row.models, cfg.n_grid, cfg.q_grid, range(cfg.trials))
     records = []
-    with warnings.catch_warnings():
-        if row.quiet:
-            warnings.simplefilter("ignore")
-        for tag, n, q, trial in cells:
-            model = row.models[tag](cfg, n, trial)
-            X = model.X
-            if row.masked:
-                mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
-                X = signals.apply_mask(X, signals.MaskSpec(q=q, seed=mask_seed))
-            fits = {m: _METHODS[m](X, q, cfg.tau_list, cfg.k) for m in row.methods}
-            for tau in cfg.tau_list:
-                for method in row.methods:
-                    t0 = time.perf_counter()
-                    scores = _score(model, tau, *next(fits[method]))
-                    wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
-                    records.append(
-                        ExperimentRecord(
-                            cfg.suite, n, cfg.p, cfg.k, tau, q, trial, method + tag,
-                            *scores, wall_ms,
-                        )
+    for tag, n, q, trial in cells:
+        model = row.models[tag](cfg, n, trial)
+        X = model.X
+        if row.masked:
+            mask_seed = derive_seed(cfg.seed, cfg.suite, "mask", n, q, trial)
+            X = signals.apply_mask(X, signals.MaskSpec(q=q, seed=mask_seed))
+        fits = {m: _METHODS[m](X, q, cfg.tau_list, cfg.k) for m in row.methods}
+        for tau in cfg.tau_list:
+            for method in row.methods:
+                t0 = time.perf_counter()
+                scores = _score(model, tau, *next(fits[method]))
+                wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
+                records.append(
+                    ExperimentRecord(
+                        cfg.suite, n, cfg.p, cfg.k, tau, q, trial, method + tag,
+                        *scores, wall_ms,
                     )
+                )
     if cfg.out_path:
         write_records(records, cfg.out_path)
     return records

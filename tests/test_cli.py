@@ -43,11 +43,12 @@ def read_numeric_csv(path):
     return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
 
 
-def check_fill_missing_pipeline(tmp_path, S):
+def check_fill_missing_pipeline(tmp_path, S, warning):
     """``unmix --fill-missing`` on a gapped mixture of the columns of ``S``:
     the reader against a per-cell ``float()`` parse and the writer against
     17 significant digits, bit for bit, and the estimates, signs included,
-    against the factorization of the dense rank-2 fill-in."""
+    against the factorization of the dense rank-2 fill-in.  ``warning`` is
+    the start of the one warning the unmix gives, or None for none."""
     rng = np.random.default_rng(0)
     X_true = rng.standard_normal((6, 2)) @ S.T + 1e-2 * rng.standard_normal((6, len(S)))
     gapped = [
@@ -57,11 +58,13 @@ def check_fill_missing_pipeline(tmp_path, S):
     (tmp_path / "gaps.csv").write_text("\n".join(gapped) + "\n")
     with pytest.raises(ValueError, match="fill-missing"):
         unmix_csv(str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # complex mode pairs present
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         unmix_csv(
             str(tmp_path / "gaps.csv"), str(tmp_path / "g"), tau=1, k=2, fill_missing=True
         )
+    assert len(caught) == (warning is not None)
+    assert all(str(w.message).startswith(warning) for w in caught)
     cells = [[float(c) if c else np.nan for c in ln.split(",")] for ln in gapped]
     X = np.array(cells)
     data, missing = read_timeseries_csv(str(tmp_path / "gaps.csv"), fill_missing=True)
@@ -229,12 +232,16 @@ class TestUnmixCsv:
         # six channels of two sources plus noise, 10% of the cells blank: two
         # cosines give real modes, a cosine and its quadrature a complex pair
         t = np.arange(4000)
-        for name, S in (
-            ("real", np.column_stack([np.cos(0.3 * t), np.cos(1.3 * t + 0.5)])),
-            ("complex", np.column_stack([np.cos(0.3 * t), np.sin(0.3 * t)])),
+        for name, S, warning in (
+            ("real", np.column_stack([np.cos(0.3 * t), np.cos(1.3 * t + 0.5)]), None),
+            (
+                "complex",
+                np.column_stack([np.cos(0.3 * t), np.sin(0.3 * t)]),
+                "complex mode pairs present",
+            ),
         ):
             (tmp_path / name).mkdir()
-            check_fill_missing_pipeline(tmp_path / name, S)
+            check_fill_missing_pipeline(tmp_path / name, S, warning)
 
     def test_rank_exceeds_channels(self, tmp_path):
         (tmp_path / "two.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
@@ -504,6 +511,29 @@ class TestMainExitCodes:
             warnings.simplefilter("error")
             assert main(argv) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_rank_deficient_input_warns(self, tmp_path):
+        # one cosine in three channels: the snapshot matrix has rank 1
+        s = np.cos(0.3 * np.arange(2000))
+        path = tmp_path / "one.csv"
+        np.savetxt(path, np.outer(s, [1.0, 2.0, -0.5]), delimiter=",")
+        argv = ["unmix", str(path), "--rank", "2", "--out-prefix", str(tmp_path / "o")]
+        with pytest.warns(UserWarning, match="numerical rank 1 < requested k=2"):
+            assert main(argv) == 0
+        assert (tmp_path / "o_mixing.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [("1,1,1\n" * 50, []), (",,\n" * 5, ["--fill-missing"])],
+        ids=["constant", "all-missing"],
+    )
+    def test_no_variation_is_exit_1(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "flat.csv"
+        path.write_text(text)
+        argv = ["unmix", str(path), *flags, "--out-prefix", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{path}: numerical rank 0" in capsys.readouterr().err
+        assert not (tmp_path / "o_mixing.csv").exists()
 
     def test_unmix_success(self, tmp_path):
         write_mixture_csv(tmp_path / "mix.csv", n=3000)

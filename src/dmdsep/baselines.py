@@ -38,7 +38,7 @@ def whiten_top_k(X, k):
     rounding near ``eps * lam[0]`` (about ``1.5e-8 * sigma_0``), and the
     ``RANK_TOL`` cutoff ``1e-12 * sigma_0 * max(p, n)`` lies below that floor
     for most shapes, so it would count rounding as rank.  Whitening through
-    ``linalg.left_svd`` costs about 3x the Gram and ``eigh`` (p = 500,
+    ``linalg.left_svd`` costs about 2.5x the Gram and ``eigh`` (p = 500,
     n = 16000, 1 BLAS thread).
     """
     X = np.asarray(X, dtype=float)

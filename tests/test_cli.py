@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -560,7 +561,8 @@ class TestMainExitCodes:
             raise np.linalg.LinAlgError(f"{kernel} did not converge")
 
         write_mixture_csv(tmp_path / "mix.csv", n=3000)
-        monkeypatch.setattr(np.linalg, kernel, no_convergence)
+        module, name = {"eig": (np.linalg, "eig"), "qr": (scipy.linalg.lapack, "dgeqrt")}[kernel]
+        monkeypatch.setattr(module, name, no_convergence)
         argv = ["unmix", str(tmp_path / "mix.csv"), "--out-prefix", str(tmp_path / "u")]
         assert main(argv) == 2
         assert f"numerical failure: {kernel} did not converge" in capsys.readouterr().err
@@ -745,15 +747,16 @@ LAYERS = ["baselines", "dmd", "experiments", "lagstats", "linalg", "metrics", "p
 
 
 def test_import_skips_slow_scipy_modules():
-    # every CLI call pays the package import; scipy.signal, scipy.optimize
-    # and scipy.stats are loaded only by the functions that use them.  The
-    # package namespace is its eight layer modules, and not the CLI
+    # every CLI call pays the package import; scipy.signal, scipy.optimize,
+    # scipy.stats and scipy.linalg are loaded only by the functions that
+    # use them.  The package namespace is its eight layer modules, and not
+    # the CLI
     env = dict(os.environ)
     src = str(Path(dmdsep.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, dmdsep; "
-        "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
+        "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats', 'scipy.linalg') "
         "if m in sys.modules]); "
         "print(sorted(m for m in sys.modules if m.startswith('dmdsep.'))); "
         "print(dmdsep.__all__)"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from dmdsep import linalg
 
@@ -101,18 +102,27 @@ class TestLeftSvd:
         assert np.abs(sigma - full.sigma).max() <= 1e-12 * full.sigma[0]
         assert np.allclose(np.abs(np.sum(U[:, :2] * full.U[:, :2], axis=0)), 1.0, atol=1e-10)
 
+    # a single block is exactly one dgeqrt call on the whole of A.T, no tree
     @pytest.mark.parametrize("rows, cols", [(60, 599), (60, 600), (4, 8192)])
     def test_single_block_is_one_householder_qr(self, rows, cols):
         A = random_matrix(np.random.default_rng(cols), rows, cols)
-        _, s, Ut = np.linalg.svd(np.linalg.qr(A.T, mode="r"), full_matrices=False)
+        a = scipy.linalg.lapack.dgeqrt(min(linalg.QR_PANEL, *A.shape), A.T)[0]
+        _, s, Ut = np.linalg.svd(np.triu(a[:rows]), full_matrices=False)
         U, sigma, _ = linalg.left_svd(A)
         assert np.array_equal(U, Ut.T)
         assert np.array_equal(sigma, s)
 
 
 class TestQrR:
+    # the last four set the panel width min(32, rows, cols) to 1 (one
+    # column, one row), to 32 with one column left over, and to 32 in each
+    # of three row blocks and in their stacked 99 x 33 R's
     @pytest.mark.parametrize(
-        "rows, cols", [(600, 60), (601, 60), (6047, 60), (8193, 4), (40000, 2), (3, 8)]
+        "rows, cols",
+        [
+            (600, 60), (601, 60), (6047, 60), (8193, 4), (40000, 2), (3, 8),
+            (5000, 1), (1, 7), (33, 33), (2000, 33),
+        ],
     )
     def test_matches_householder_up_to_row_signs(self, rows, cols):
         M = random_matrix(np.random.default_rng(rows + cols), rows, cols)
@@ -129,6 +139,16 @@ class TestQrR:
         M[77, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             linalg.qr_r(M)
+
+    def test_empty_input_has_empty_r(self):
+        for shape in ((0, 5), (5, 0), (0, 0)):
+            ref = np.linalg.qr(np.zeros(shape), mode="r")
+            assert linalg.qr_r(np.zeros(shape)).shape == ref.shape
+
+    def test_nonzero_info_is_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", lambda nb, a: (a, None, -2))
+        with pytest.raises(np.linalg.LinAlgError, match="info=-2"):
+            linalg.qr_r(np.ones((100, 3)))
 
 
 def mp_conditions(A, P):

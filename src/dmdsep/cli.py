@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from . import dmd, linalg
+from . import dmd
 from .experiments import (
     SUITES, default_config, numbered_lines, run_experiment, summarize, write_csv
 )
@@ -53,7 +53,7 @@ def _read_per_line(path, fill_missing):
         hint = " (rerun with --fill-missing to treat it as missing data)"
         kind, hint = ("empty or nan", hint) if missing[row, col] else ("non-finite", "")
         raise ValueError(f"line {line_nos[row]}: {kind} cell in column {col + 1}{hint}")
-    return data, missing
+    return data
 
 
 def _nan_filled(lines):
@@ -73,7 +73,7 @@ def _nan_filled(lines):
 def read_timeseries_csv(path, fill_missing=False):
     """Parse a time-major numeric CSV (rows = samples, columns = channels).
 
-    Returns ``(data, missing_mask)`` with shape (n, p).  Missing cells
+    Returns the (n, p) data, with NaN in each missing cell.  Missing cells
     (empty or ``nan``) are allowed only when ``fill_missing`` is set, other
     non-finite cells (``inf``, ``1e999``) never; errors name their line.
 
@@ -90,44 +90,30 @@ def read_timeseries_csv(path, fill_missing=False):
             )
     except ValueError:  # UnicodeDecodeError included
         return _read_per_line(path, fill_missing)
-    missing = np.isnan(data)
-    if not data.size or np.isinf(data).any() or (missing.any() and not fill_missing):
+    if not data.size or np.isinf(data).any() or (not fill_missing and np.isnan(data).any()):
         return _read_per_line(path, fill_missing)
-    return data, missing
+    return data
 
 
 def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
-    """Unmix a time-major CSV via the mean-aware factorization.
+    """Unmix a time-major CSV via the mean-aware factorization
+    :func:`dmd.dmf`.
 
-    With ``fill_missing`` the pipeline is zero-fill, then the factorization
-    of the rank-``k`` truncated-SVD fill-in (:func:`dmd.fill_in`), fitted
-    on its k x n coordinates and lifted to the channels; otherwise the
-    data is factorized as-is.  A rank below ``k`` or complex modes warn,
-    and rank 0 is an error.  Writes ``<prefix>_sources.csv`` (n x k
+    With ``fill_missing`` the missing cells reach ``dmf`` as NaN, which
+    fits the rank-``k`` truncated-SVD fill-in of the zero-filled data;
+    otherwise no cell may be missing.  A rank below ``k`` or complex modes
+    warn, and rank 0 is an error.  Writes ``<prefix>_sources.csv`` (n x k
     coordinates), ``<prefix>_mixing.csv`` (p x k unit-norm modes) and
     ``<prefix>_eigvals.csv`` (k rows of real,imag).  Returns the three
     paths.
     """
-    data, missing = read_timeseries_csv(in_path, fill_missing=fill_missing)
+    data = read_timeseries_csv(in_path, fill_missing=fill_missing)
     n, p = data.shape
     if k > p:
         raise ValueError(f"rank k={k} exceeds the {p} channels in {in_path}")
     if not 1 <= tau <= n - 2:
         raise ValueError(f"lag tau={tau} outside [1, {n - 2}] for {n} samples")
-    X = data.T.copy()  # internal orientation: channels x time
-    if fill_missing and missing.any():
-        X[missing.T] = 0.0
-        U_k, coords = dmd.fill_in(X, k)
-        fac = dmd.dmf(coords, tau, k)
-        # the factorization of U_k @ coords is (U_k Q_hat D, C_hat D^-1) for
-        # the unit factors D that put each lifted mode in the linalg
-        # convention; U_k^T (U_k Q_hat D) = Q_hat D with unit columns Q_hat
-        Q = linalg._phase_fix(U_k @ fac.Q_hat)
-        Q = Q if np.iscomplexobj(fac.Q_hat) else Q.real  # real modes keep C real
-        C = fac.C_hat / np.sum(fac.Q_hat.conj() * (U_k.T @ Q), axis=0)
-    else:
-        fac = dmd.dmf(X, tau, k)
-        Q, C = fac.Q_hat, fac.C_hat
+    fac = dmd.dmf(data.T, tau, k)  # internal orientation: channels x time
     if fac.rank == 0:
         raise ValueError(f"{in_path}: numerical rank 0, no variation to unmix")
     if fac.rank < k:
@@ -136,6 +122,7 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
             "trailing modes are noise",
             stacklevel=2,
         )
+    C = fac.C_hat
     if np.iscomplexobj(C):
         residue = np.abs(C.imag).max()
         if residue > 1e-8 * (1.0 + np.abs(C.real).max()):
@@ -144,12 +131,11 @@ def unmix_csv(in_path, out_prefix, tau=1, k=2, fill_missing=False):
                 "writing real parts",
                 stacklevel=2,
             )
-    Q, C = Q.real, C.real
     sources_path = f"{out_prefix}_sources.csv"
     mixing_path = f"{out_prefix}_mixing.csv"
     eig_path = f"{out_prefix}_eigvals.csv"
-    write_csv(sources_path, [f"source_{j + 1}" for j in range(k)], C)
-    write_csv(mixing_path, [f"mode_{j + 1}" for j in range(k)], Q)
+    write_csv(sources_path, [f"source_{j + 1}" for j in range(k)], C.real)
+    write_csv(mixing_path, [f"mode_{j + 1}" for j in range(k)], fac.Q_hat.real)
     eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
     write_csv(eig_path, ["real", "imag"], eig)
     return sources_path, mixing_path, eig_path

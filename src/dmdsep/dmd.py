@@ -9,7 +9,8 @@ propagator *is* blind source separation.
 
 Variants: ``tsvd_dmd_fit`` front-ends the same fit with a rank-k truncated
 SVD to fill zeroed-out missing entries, and ``dmf`` wraps the fit into a
-mean-aware factorization ``X ~= Q_hat @ C_hat.T`` for raw data matrices.
+mean-aware factorization ``X ~= Q_hat @ C_hat.T`` for raw data matrices,
+whose NaN cells it reads as missing and fills in the same way.
 """
 
 from dataclasses import dataclass
@@ -37,18 +38,14 @@ class DmdResult:
 
 @dataclass
 class DmfResult:
-    """Mean-aware factorization X ~= Q_hat @ C_hat.T + (dropped residual mean).
+    """Mean-aware factorization ``X ~= Q_hat @ C_hat.T`` (see :func:`dmf`).
 
-    ``mean_residual`` is the norm of the part of the column mean lying
-    outside span(Q_hat); it is exactly the reconstruction defect
-    introduced by folding the mean back through the rank-k factors.
     ``rank`` is the fit's min(r, k), as on :class:`DmdResult`.
     """
 
     Q_hat: np.ndarray
     C_hat: np.ndarray
     eigvals: np.ndarray
-    mean_residual: float
     rank: int
 
 
@@ -192,23 +189,30 @@ def dmf(X, tau, k):
     mean ``mu``, take the top-``k`` eigenvectors as ``Q_hat``, and push the
     raw data through ``pinv(Q_hat)`` to get coordinates ``C_hat`` that
     include the mean.  The part of ``mu`` outside span(Q_hat) cannot be
-    represented by a rank-k factorization; it is dropped and its norm
-    reported.
+    represented by a rank-k factorization and is dropped.
+
+    NaN cells are missing data: they are zeroed, the fit runs on the k x n
+    coordinates of the rank-``k`` fill-in (:func:`fill_in`), less their
+    mean, and its modes are lifted by ``U_k``; ``C_hat`` comes from the
+    zeroed data.  Modes stay real when every eigenvalue is.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if not 1 <= k <= min(X.shape[0], n - tau - 1):
         raise ValueError(f"k={k} out of range for shape {X.shape} at tau={tau}")
-    mu = X.mean(axis=1)
-    fit = dmd_fit(X - mu[:, None], tau, k)
-    Q_hat = fit.eig.vectors
+    missing = np.isnan(X)
+    U_k, coords = None, X
+    if missing.any():
+        X = np.where(missing, 0.0, X)
+        U_k, coords = fill_in(X, k)
+    mu = coords.mean(axis=1)
+    fit = dmd_fit(coords - mu[:, None], tau, k)
+    Q_hat = fit.eig.vectors if U_k is None else linalg._phase_fix(U_k @ fit.eig.vectors)
     if np.all(fit.eig.values.imag == 0.0):
         Q_hat = Q_hat.real
-    W = linalg.pinv(Q_hat)
     return DmfResult(
         Q_hat=Q_hat,
-        C_hat=(W @ X).T,
+        C_hat=(linalg.pinv(Q_hat) @ X).T,
         eigvals=fit.eig.values,
-        mean_residual=float(np.linalg.norm(mu - Q_hat @ (W @ mu))),
         rank=fit.rank,
     )

@@ -37,17 +37,8 @@ def lag_cov(S, tau):
     if not 0 <= tau < n:
         raise ValueError(f"lag tau={tau} outside [0, {n})")
     L = S.T @ np.roll(S, -tau, axis=0)
-    return LagCov(L=L, tau=tau, delta_L=diag_separation(L))
-
-
-def diag_separation(L):
-    """min over i != j of |L[i,i] - L[j,j]|; inf for a 1x1 matrix."""
-    diag = np.diag(np.asarray(L))
-    k = diag.size
-    if k < 2:
-        return float("inf")
-    gaps = [abs(diag[i] - diag[j]) for i in range(k) for j in range(i + 1, k)]
-    return float(min(gaps))
+    gaps = np.diff(np.sort(np.diag(L)))
+    return LagCov(L=L, tau=tau, delta_L=float(gaps.min()) if gaps.size else float("inf"))
 
 
 def cosine_lag_theory(omega, phi, n, tau):

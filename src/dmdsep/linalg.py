@@ -24,20 +24,6 @@ def _as_matrix(A, dtype=float):
 
 
 @dataclass
-class SvdResult:
-    """Thin SVD ``A = U @ diag(sigma) @ V.T`` with a numerical-rank estimate.
-
-    ``sigma`` is descending; ``rank`` counts the singular values above the
-    cutoff set by ``RANK_TOL``.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-    rank: int
-
-
-@dataclass
 class ComplexEig:
     """Eigenpairs sorted by modulus (desc), ties by real then imaginary part.
 
@@ -70,11 +56,13 @@ def _rank(sigma, shape):
 
 
 def svd(A):
-    """Thin singular value decomposition of a real or complex matrix, with
-    the numerical rank (see ``RANK_TOL``)."""
+    """Thin singular value decomposition ``A = U @ diag(sigma) @ V.T`` of a
+    real or complex matrix, as ``(U, sigma, V, rank)``: ``sigma`` is
+    descending and ``rank`` counts the singular values above the cutoff
+    set by ``RANK_TOL``."""
     A = _as_matrix(A, dtype=complex if np.iscomplexobj(A) else float)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    return SvdResult(U=U, sigma=s, V=Vh.T, rank=_rank(s, A.shape))
+    return U, s, Vh.T, _rank(s, A.shape)
 
 
 def qr_r(M):
@@ -111,8 +99,8 @@ def left_svd(A):
 
 def _left_svd_of_r(R, shape):
     # (U, sigma, rank) of a matrix A of the given shape from R of A.T = Q R
-    res = svd(R)
-    return res.V, res.sigma, _rank(res.sigma, shape)
+    _, sigma, V, _ = svd(R)
+    return V, sigma, _rank(sigma, shape)
 
 
 def pinv(A):
@@ -122,9 +110,8 @@ def pinv(A):
     treated as exact zeros, so noise directions of low-rank data are not
     amplified by 1/sigma.  Rank 0 gives the transposed zero matrix.
     """
-    res = svd(A)
-    r = res.rank
-    return (res.V[:, :r].conj() / res.sigma[:r]) @ res.U[:, :r].conj().T
+    U, sigma, V, r = svd(A)
+    return (V[:, :r].conj() / sigma[:r]) @ U[:, :r].conj().T
 
 
 def _phase_fix(vectors):

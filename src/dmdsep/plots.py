@@ -1,16 +1,15 @@
 """Log-log error plots rendered directly to SVG.
 
 Figures only display harness output, so they are written as plain SVG
-text (no plotting dependency) plus a small gnuplot script for anyone who
-prefers to restyle them.  One file per (suite, error kind), one series
-per (method, tau), with a dashed reference-slope guide line anchored just
-above the first series.
+text (no plotting dependency).  One file per (suite, error kind), one
+series per (method, tau), with a dashed reference-slope guide line
+anchored just above the first series.
 """
 
 import math
 import os
 
-from .experiments import RECORD_FIELDS, SUITE_TABLE, mean_errors, read_records
+from .experiments import SUITE_TABLE, mean_errors, read_records
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -132,28 +131,6 @@ def _svg_figure(title, xlabel, series, guide):
     return "\n".join(parts)
 
 
-def _gnuplot_script(suite, records_path):
-    xlabel = SUITE_TABLE[suite].x
-    xcol = RECORD_FIELDS.index(xlabel) + 1
-    lines = [
-        "# regenerate the error plots for suite "
-        f"{suite} from {os.path.basename(records_path)}",
-        "set datafile separator ','",
-        "set logscale xy",
-        f"set xlabel '{xlabel}'",
-        "set key top right",
-    ]
-    for kind in _KINDS:
-        lines.append(f"set ylabel '{kind}'")
-        lines.append(
-            f"plot '{os.path.basename(records_path)}' "
-            f"using {xcol}:{RECORD_FIELDS.index(kind) + 1} "
-            f"with points title '{kind}'"
-        )
-        lines.append("pause -1")
-    return "\n".join(lines) + "\n"
-
-
 def emit_plots(records_path, out_dir):
     """Render one SVG per (suite, error kind) from a records CSV.
 
@@ -161,8 +138,8 @@ def emit_plots(records_path, out_dir):
     ``SUITE_TABLE``; the guide is anchored a factor of two above the first
     series' starting point and drawn only when the row has a slope and the
     grid has at least two distinct x values; a suite with no positive finite
-    error gets no figure and no gnuplot script.  Nothing is written unless
-    some figure is.  Returns the written paths.
+    error gets no figure.  Nothing is written unless some figure is.
+    Returns the written paths.
     """
     records = read_records(records_path)
     if not records:
@@ -170,7 +147,7 @@ def emit_plots(records_path, out_dir):
     files = {}  # file name -> text, in the order written
     for suite in sorted({rec.suite for rec in records}):
         suite_records = [r for r in records if r.suite == suite]
-        row, figures = SUITE_TABLE[suite], len(files)
+        row = SUITE_TABLE[suite]
         for kind in _KINDS:
             means = mean_errors(suite_records, field=kind)
             series = []
@@ -188,8 +165,6 @@ def emit_plots(records_path, out_dir):
                 guide = (slope, [(x_lo, y_lo), (x_hi, y_lo * (x_hi / x_lo) ** slope)])
             svg = _svg_figure(f"{suite}: {kind}", row.x, series, guide)
             files[f"{suite}_{kind}.svg"] = svg
-        if len(files) > figures:
-            files[f"{suite}_plots.gnuplot"] = _gnuplot_script(suite, records_path)
     if not files:
         raise ValueError("records contain no positive finite errors to plot")
     os.makedirs(out_dir, exist_ok=True)

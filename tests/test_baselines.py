@@ -97,11 +97,11 @@ class TestPcaUnmix:
         X = rng.standard_normal(shape) * np.linspace(3.0, 1.0, shape[1]) + 5.0
         k = 3
         res = baselines.pca_unmix(X, k)
-        full = linalg.svd(X - X.mean(axis=1, keepdims=True))
-        assert np.all(np.diff(full.sigma[: k + 1]) < -1e-3 * full.sigma[0])
-        signs = np.sign(np.sum(res.Q_hat * full.U[:, :k], axis=0))
-        assert np.abs(res.Q_hat - full.U[:, :k] * signs).max() <= 1e-10
-        assert np.abs(res.S_hat - full.V[:, :k] * signs).max() <= 1e-10
+        U, sigma, V, _ = linalg.svd(X - X.mean(axis=1, keepdims=True))
+        assert np.all(np.diff(sigma[: k + 1]) < -1e-3 * sigma[0])
+        signs = np.sign(np.sum(res.Q_hat * U[:, :k], axis=0))
+        assert np.abs(res.Q_hat - U[:, :k] * signs).max() <= 1e-10
+        assert np.abs(res.S_hat - V[:, :k] * signs).max() <= 1e-10
 
     def test_is_the_whitening_basis(self):
         # PCA stops where AMUSE starts: the whitening basis and signals

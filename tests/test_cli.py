@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dmdsep
-from dmdsep import cli, dmd, experiments, linalg, metrics, plots, signals
+from dmdsep import cli, dmd, experiments, linalg, metrics, signals
 from dmdsep.cli import load_config_file, main, read_timeseries_csv, unmix_csv
 from dmdsep.experiments import (
     AUDIO_DEMO_Q,
@@ -68,13 +68,12 @@ def check_fill_missing_pipeline(tmp_path, S, warning):
     assert all(str(w.message).startswith(warning) for w in caught)
     cells = [[float(c) if c else np.nan for c in ln.split(",")] for ln in gapped]
     X = np.array(cells)
-    data, missing = read_timeseries_csv(str(tmp_path / "gaps.csv"), fill_missing=True)
+    data = read_timeseries_csv(str(tmp_path / "gaps.csv"), fill_missing=True)
     assert np.array_equal(data, X, equal_nan=True)
-    assert np.array_equal(missing, np.isnan(X))
     # oracle: the factorization of the dense surrogate U_k U_k^T X
     X = X.T
     X[np.isnan(X)] = 0.0
-    U_k = linalg.svd(X).U[:, :2]
+    U_k = linalg.svd(X)[0][:, :2]
     fac = dmd.dmf(U_k @ (U_k.T @ X), 1, 2)
     eig = np.column_stack([fac.eigvals.real, fac.eigvals.imag])
     for name, header, expected in (
@@ -108,8 +107,8 @@ class TestReadTimeseriesCsv:
         path.write_text("1,2\n,4\n")
         with pytest.raises(ValueError, match="line 2.*fill-missing"):
             read_timeseries_csv(str(path))
-        data, missing = read_timeseries_csv(str(path), fill_missing=True)
-        assert missing[1, 0]
+        data = read_timeseries_csv(str(path), fill_missing=True)
+        assert np.isnan(data[1, 0])
         assert data[0, 1] == 2.0
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan", "NaN"])
@@ -118,8 +117,8 @@ class TestReadTimeseriesCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"1,2\n3,4\n\n5,{cell}\n6,7\n")
         if fill_missing and cell.lower() == "nan":
-            data, missing = read_timeseries_csv(str(path), fill_missing=True)
-            assert missing.sum() == 1 and missing[2, 1]
+            data = read_timeseries_csv(str(path), fill_missing=True)
+            assert np.isnan(data).sum() == 1 and np.isnan(data[2, 1])
             return
         with pytest.raises(ValueError, match="line 4: .* cell in column 2"):
             read_timeseries_csv(str(path), fill_missing=fill_missing)
@@ -222,7 +221,7 @@ class TestUnmixCsv:
         write_mixture_csv(tmp_path / "mix.csv", n=3000)
         unmix_csv(str(tmp_path / "mix.csv"), str(tmp_path / "rt"), tau=1, k=2)
         written = read_numeric_csv(tmp_path / "rt_sources.csv")
-        data, _ = cli.read_timeseries_csv(str(tmp_path / "mix.csv"))
+        data = cli.read_timeseries_csv(str(tmp_path / "mix.csv"))
         in_memory = dmd.dmf(data.T, 1, 2).C_hat.real
         assert np.abs(written - in_memory).max() <= 1e-12
         unmix_csv(str(tmp_path / "mix.csv"), str(tmp_path / "rt2"), tau=1, k=2)
@@ -298,7 +297,7 @@ def assert_reader_matches_oracle(tmp_path, payload, fill_missing):
     text = payload.decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     expected_bad, rows = csv_oracle(text.split("\n"), fill_missing)
     try:
-        data, missing = read_timeseries_csv(str(path), fill_missing=fill_missing)
+        data = read_timeseries_csv(str(path), fill_missing=fill_missing)
     except ValueError as exc:
         if expected_bad is None:
             assert "no data rows" in str(exc)
@@ -308,6 +307,7 @@ def assert_reader_matches_oracle(tmp_path, payload, fill_missing):
     assert expected_bad == set()
     expected = np.array(rows, dtype=float)
     assert data.shape == expected.shape
+    missing = np.isnan(data)
     assert np.array_equal(missing, np.isnan(expected))
     assert data[~missing].tobytes() == expected[~missing].tobytes()
     assert fill_missing or not missing.any()
@@ -628,28 +628,15 @@ class TestEmitPlots:
         text = (tmp_path / "plots" / "missing-q_q_sq_error.svg").read_text()
         assert "slope -1.5" in text
 
-    def test_gnuplot_script_written(self, tmp_path):
-        path = self._records(tmp_path, "eigenwalker")
-        written = emit_plots(path, str(tmp_path / "plots"))
-        assert any(w.endswith("eigenwalker_plots.gnuplot") for w in written)
-
-    @pytest.mark.parametrize("suite,x", [("cosine", "n"), ("missing-q", "q")])
-    def test_gnuplot_columns_follow_record_fields(self, suite, x):
-        script = plots._gnuplot_script(suite, "records.csv")
-        lines = script.splitlines()
-        used = [ln.split(" using ")[1].split()[0] for ln in lines if " using " in ln]
-        fields = experiments.RECORD_FIELDS
-        assert used == [
-            f"{fields.index(x) + 1}:{fields.index(kind) + 1}"
-            for kind in ("q_sq_error", "s_sq_error", "eig_sq_error")
-        ]
-
     @pytest.mark.parametrize("suite", SUITES)
     def test_axis_and_guide_follow_suite(self, tmp_path, suite):
         x, slope = PLOT_AXES[suite]
-        emit_plots(write_grid_records(tmp_path / "r.csv", suite), str(tmp_path))
-        for kind in ("q_sq_error", "s_sq_error", "eig_sq_error"):
-            text = (tmp_path / f"{suite}_{kind}.svg").read_text()
+        written = emit_plots(write_grid_records(tmp_path / "r.csv", suite), str(tmp_path / "p"))
+        kinds = ("q_sq_error", "s_sq_error", "eig_sq_error")
+        assert sorted(os.listdir(tmp_path / "p")) == sorted(f"{suite}_{k}.svg" for k in kinds)
+        assert written == [str(tmp_path / "p" / f"{suite}_{k}.svg") for k in kinds]
+        for kind in kinds:
+            text = (tmp_path / "p" / f"{suite}_{kind}.svg").read_text()
             assert f'font-size="12">{x}</text>' in text
             if slope is None:
                 assert 'class="guide"' not in text

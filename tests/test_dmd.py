@@ -154,7 +154,7 @@ class TestReducedKernelOracle:
         X, tau, k = case
         A, dense, scale = dense_oracle(X, tau)
         X0 = X[:, : X.shape[1] - tau]
-        r = linalg.svd(X0).rank
+        _, _, _, r = linalg.svd(X0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = dmd.dmd_fit(X, tau, k, keep_operator=True)
@@ -228,7 +228,7 @@ class TestSharedLagFits:
     @given(multi_lag_series())
     def test_matches_single_lag_fits_and_dense_propagator(self, case):
         X, taus, k = case
-        ranks = [linalg.svd(X[:, : X.shape[1] - tau]).rank for tau in taus]
+        ranks = [linalg.svd(X[:, : X.shape[1] - tau])[3] for tau in taus]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "TSQR_MIN_ENTRIES", 0)  # blocks of 10p rows
             with warnings.catch_warnings(record=True) as caught:
@@ -275,8 +275,8 @@ class TestFillIn:
         rng = np.random.default_rng(7)
         for shape, k in (((6, 40), 2), ((40, 6), 3), ((30, 200), 5)):
             X = rng.standard_normal(shape)
-            res = linalg.svd(X)
-            best = (res.U[:, :k] * res.sigma[:k]) @ res.V[:, :k].T  # Eckart-Young
+            U, sigma, V, _ = linalg.svd(X)
+            best = (U[:, :k] * sigma[:k]) @ V[:, :k].T  # Eckart-Young
             U_k, coords = dmd.fill_in(X, k)
             assert U_k.shape == (shape[0], k) and coords.shape == (k, shape[1])
             assert np.abs(U_k.T @ U_k - np.eye(k)).max() <= 1e-12
@@ -340,14 +340,13 @@ class TestTsvdDmdFit:
         # below the rank cutoff
         X, tau, k = case
         perm = np.array(data.draw(st.permutations(range(X.shape[0]))))
-        res = linalg.svd(X)
-        sigma = res.sigma
+        U, sigma, _, _ = linalg.svd(X)
         assume(
             k == sigma.size
             or sigma[k - 1] - sigma[k] > 1e-3 * sigma[0]
             or sigma[k - 1] <= linalg.RANK_TOL * sigma[0] * max(X.shape)
         )
-        U_k = res.U[:, :k]
+        U_k = U[:, :k]
         _, dense, scale = dense_oracle(U_k @ (U_k.T @ X), tau)
         assume(top_k_is_unambiguous(dense.values, k, scale))
         base = dmd.tsvd_dmd_fit(X, 0.5, tau, k)
@@ -468,7 +467,8 @@ class TestDmf:
         X = model.X + np.array([[2.0], [-1.0]])
         fac = dmd.dmf(X, 1, 2)
         assert np.linalg.norm(fac.Q_hat @ fac.C_hat.T - X) <= 1e-8 * np.linalg.norm(X)
-        assert fac.mean_residual <= 1e-10
+        mu = X.mean(axis=1)
+        assert np.linalg.norm(mu - fac.Q_hat @ (linalg.pinv(fac.Q_hat) @ mu)) <= 1e-10
 
     def test_audio_demo_standin(self):
         # two lag-1-distinct multitone signals through the non-orthogonal
@@ -498,8 +498,8 @@ class TestDmf:
 
     def test_out_of_span_mean_is_reported(self):
         # p=3, k=1: an offset orthogonal to the single mode cannot be
-        # represented; the reconstruction defect equals the dropped mean
-        # replicated across the n samples
+        # represented; the reconstruction defect equals the dropped mean,
+        # the part of mu outside span(Q_hat), replicated across the n samples
         n = 600
         C = signals.gen_cosines(signals.CosineSpec(omegas=(0.25,)), n)
         q1 = np.array([[1.0], [0.0], [0.0]])
@@ -507,9 +507,11 @@ class TestDmf:
         offset = np.array([[0.0], [0.3], [0.0]])
         X = model.X + offset
         fac = dmd.dmf(X, 1, 1)
-        assert fac.mean_residual == pytest.approx(0.3, abs=1e-6)
+        mu = X.mean(axis=1)
+        dropped = np.linalg.norm(mu - fac.Q_hat @ (linalg.pinv(fac.Q_hat) @ mu))
+        assert dropped == pytest.approx(0.3, abs=1e-6)
         defect = np.linalg.norm(X - fac.Q_hat @ fac.C_hat.T)
-        assert defect == pytest.approx(fac.mean_residual * np.sqrt(n), rel=1e-6)
+        assert defect == pytest.approx(dropped * np.sqrt(n), rel=1e-6)
 
     def test_walker_q_matches_published_modes(self):
         model = eigenwalker_model(1000)
@@ -520,3 +522,34 @@ class TestDmf:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="k="):
             dmd.dmf(np.zeros((2, 20)), 1, 3)
+
+    @pytest.mark.parametrize("pair", ["real", "complex"])
+    def test_nan_cells_factor_the_fill_in(self, pair):
+        # 5% of the cells NaN: the factorization equals that of the dense
+        # rank-k fill-in U_k U_k^T X0 of the zero-filled data X0.  Two
+        # cosines give real modes, a cosine and its quadrature a complex pair
+        t = np.arange(3000)
+        second = np.cos(1.3 * t + 0.5) if pair == "real" else np.sin(0.3 * t)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((6, 2)) @ np.vstack([np.cos(0.3 * t), second])
+        X += 1e-2 * rng.standard_normal(X.shape) + 0.2 * rng.standard_normal((6, 1))
+        X[rng.random(X.shape) < 0.05] = np.nan
+        X0 = np.where(np.isnan(X), 0.0, X)
+        U_k = linalg.svd(X0)[0][:, :2]
+        fac, dense = dmd.dmf(X, 2, 2), dmd.dmf(U_k @ (U_k.T @ X0), 2, 2)
+        assert np.iscomplexobj(fac.Q_hat) == (pair == "complex")
+        assert fac.rank == dense.rank == 2
+        for got, expected in (
+            (fac.Q_hat, dense.Q_hat), (fac.C_hat, dense.C_hat), (fac.eigvals, dense.eigvals)
+        ):
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_only_nan_reads_as_missing(self):
+        X = np.random.default_rng(9).standard_normal((4, 200))
+        X[1, 7] = np.nan
+        X[2, 9] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            dmd.dmf(X, 1, 2)
+        X[2, 9] = 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            dmd.dmd_fit(X, 1, 2)

@@ -11,14 +11,14 @@ def random_matrix(rng, rows, cols, scale=1.0):
 
 class TestSvd:
     def test_identity(self):
-        res = linalg.svd(np.eye(2))
-        assert np.allclose(res.sigma, [1.0, 1.0])
-        assert res.rank == 2
+        _, sigma, _, rank = linalg.svd(np.eye(2))
+        assert np.allclose(sigma, [1.0, 1.0])
+        assert rank == 2
 
     def test_zero_matrix(self):
-        res = linalg.svd(np.zeros((2, 3)))
-        assert np.allclose(res.sigma, [0.0, 0.0])
-        assert res.rank == 0
+        _, sigma, _, rank = linalg.svd(np.zeros((2, 3)))
+        assert np.allclose(sigma, [0.0, 0.0])
+        assert rank == 0
 
     def test_two_by_two_against_characteristic_polynomial(self):
         # singular values from the 2x2 characteristic polynomial of A^T A
@@ -27,8 +27,8 @@ class TestSvd:
         tr, det = G[0, 0] + G[1, 1], G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
         disc = np.sqrt(tr**2 - 4 * det)
         expected = np.sqrt([(tr + disc) / 2, (tr - disc) / 2])
-        res = linalg.svd(A)
-        assert np.allclose(res.sigma, expected, atol=1e-12)
+        _, sigma, _, _ = linalg.svd(A)
+        assert np.allclose(sigma, expected, atol=1e-12)
         assert np.allclose(expected, [np.sqrt(45.0), np.sqrt(5.0)])
 
     def test_roundtrip_and_orthonormality(self):
@@ -36,12 +36,12 @@ class TestSvd:
         for _ in range(50):
             rows, cols = rng.integers(1, 21), rng.integers(1, 31)
             A = random_matrix(rng, rows, cols, scale=10.0 ** rng.integers(-3, 4))
-            res = linalg.svd(A)
+            U, sigma, V, _ = linalg.svd(A)
             normA = np.linalg.norm(A)
-            assert np.linalg.norm(res.U * res.sigma @ res.V.T - A) <= 1e-8 * (1 + normA)
-            assert np.abs(res.U.T @ res.U - np.eye(res.U.shape[1])).max() <= 1e-10
-            assert np.abs(res.V.T @ res.V - np.eye(res.V.shape[1])).max() <= 1e-10
-            assert np.all(np.diff(res.sigma) <= 0)
+            assert np.linalg.norm(U * sigma @ V.T - A) <= 1e-8 * (1 + normA)
+            assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-10
+            assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-10
+            assert np.all(np.diff(sigma) <= 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -49,10 +49,11 @@ class TestSvd:
 
     def test_deterministic(self):
         A = np.random.default_rng(7).standard_normal((8, 5))
-        r1, r2 = linalg.svd(A.copy()), linalg.svd(A.copy())
-        assert np.array_equal(r1.U, r2.U)
-        assert np.array_equal(r1.sigma, r2.sigma)
-        assert np.array_equal(r1.V, r2.V)
+        U1, sigma1, V1, _ = linalg.svd(A.copy())
+        U2, sigma2, V2, _ = linalg.svd(A.copy())
+        assert np.array_equal(U1, U2)
+        assert np.array_equal(sigma1, sigma2)
+        assert np.array_equal(V1, V2)
 
 
 class TestLeftSvd:
@@ -60,12 +61,12 @@ class TestLeftSvd:
         rng = np.random.default_rng(5)
         for rows, cols in ((3, 50), (20, 400), (7, 4), (1, 9)):
             A = random_matrix(rng, rows, cols)
-            full = linalg.svd(A)
+            U_full, sigma_full, _, rank_full = linalg.svd(A)
             U, sigma, rank = linalg.left_svd(A)
-            assert rank == full.rank
-            assert np.allclose(sigma, full.sigma, rtol=1e-12, atol=0)
+            assert rank == rank_full
+            assert np.allclose(sigma, sigma_full, rtol=1e-12, atol=0)
             # distinct singular values: columns agree up to sign
-            assert np.allclose(np.abs(np.sum(U * full.U, axis=0)), 1.0, atol=1e-10)
+            assert np.allclose(np.abs(np.sum(U * U_full, axis=0)), 1.0, atol=1e-10)
 
     def test_rank_cutoff(self):
         rng = np.random.default_rng(6)
@@ -85,22 +86,22 @@ class TestLeftSvd:
     @pytest.mark.parametrize("rows, cols", BLOCKED_SHAPES)
     def test_blocked_matches_svd(self, rows, cols):
         A = random_matrix(np.random.default_rng(rows * cols), rows, cols)
-        full = linalg.svd(A)
+        U_full, sigma_full, _, rank_full = linalg.svd(A)
         U, sigma, rank = linalg.left_svd(A)
-        assert rank == full.rank
-        assert np.abs(sigma - full.sigma).max() <= 1e-12 * full.sigma[0]
+        assert rank == rank_full
+        assert np.abs(sigma - sigma_full).max() <= 1e-12 * sigma_full[0]
         # distinct singular values: columns agree up to sign
-        assert np.allclose(np.abs(np.sum(U * full.U, axis=0)), 1.0, atol=1e-10)
+        assert np.allclose(np.abs(np.sum(U * U_full, axis=0)), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("cols", [601, 1150, 6047])
     def test_blocked_rank_deficient(self, cols):
         rng = np.random.default_rng(cols)
         A = rng.standard_normal((60, 2)) @ rng.standard_normal((2, cols))
-        full = linalg.svd(A)
+        U_full, sigma_full, _, rank_full = linalg.svd(A)
         U, sigma, rank = linalg.left_svd(A)
-        assert rank == full.rank == 2
-        assert np.abs(sigma - full.sigma).max() <= 1e-12 * full.sigma[0]
-        assert np.allclose(np.abs(np.sum(U[:, :2] * full.U[:, :2], axis=0)), 1.0, atol=1e-10)
+        assert rank == rank_full == 2
+        assert np.abs(sigma - sigma_full).max() <= 1e-12 * sigma_full[0]
+        assert np.allclose(np.abs(np.sum(U[:, :2] * U_full[:, :2], axis=0)), 1.0, atol=1e-10)
 
     # a single block is exactly one dgeqrt call on the whole of A.T, no tree
     @pytest.mark.parametrize("rows, cols", [(60, 599), (60, 600), (4, 8192)])

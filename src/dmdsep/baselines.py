@@ -37,9 +37,9 @@ def whiten_top_k(X, k):
     Not ``linalg.RANK_TOL``'s rule, on purpose: Gram eigenvalues carry
     rounding near ``eps * lam[0]`` (about ``1.5e-8 * sigma_0``), and the
     ``RANK_TOL`` cutoff ``1e-12 * sigma_0 * max(p, n)`` lies below that floor
-    for most shapes, so it would count rounding as rank.  Whitening through
-    ``linalg.left_svd`` costs about 2.5x the Gram and ``eigh`` (p = 500,
-    n = 16000, 1 BLAS thread).
+    for most shapes, so it would count rounding as rank.  The pairs come
+    from the Gram and a top-k ``linalg.eig_symmetric``, the route of
+    ``dmd.fill_in``'s basis.
     """
     X = np.asarray(X, dtype=float)
     p, n = X.shape
@@ -47,8 +47,7 @@ def whiten_top_k(X, k):
         raise ValueError(f"k={k} outside [1, {p}]")
     Xc = X - X.mean(axis=1, keepdims=True)
     cov = Xc @ Xc.T / n
-    lam, V = linalg.eig_symmetric(cov)
-    lam, V = lam[:k], V[:, :k]
+    lam, V = linalg.eig_symmetric(cov, k)
     rank = int(np.sum(lam > max(0.0, 1e-12 * lam[0])))
     if rank < k:
         raise ValueError(

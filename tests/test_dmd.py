@@ -270,7 +270,67 @@ class TestSharedLagFits:
             next(fits)
 
 
+class TestLagProductOrder:
+    """``X1 @ X0^T`` is formed first exactly when 2r > p; either order gives
+    the same propagator to rounding."""
+
+    # r = 5: 2r = p - 1, p and p + 1
+    @pytest.mark.parametrize("p", [11, 10, 9])
+    def test_orders_agree_across_the_threshold(self, p):
+        rng = np.random.default_rng(p)
+        r, n, tau = 5, 400, 1
+        X = rng.standard_normal((p, r)) @ rng.standard_normal((r, n))
+        X0, X1 = X[:, : n - tau], X[:, tau:]
+        U, sigma, rank = linalg._left_svd_of_r(linalg.qr_r(X0.T), X0.shape)
+        assert rank == r
+        W = U[:, :r] / sigma[:r] ** 2
+        late, early = X1 @ (X0.T @ W), (X1 @ X0.T) @ W
+        assert np.abs(late - early).max() <= 1e-12 * np.abs(late).max()
+        a_hat = dmd.dmd_fit(X, tau, 2, keep_operator=True).a_hat
+        for B in (late, early):
+            A = B @ U[:, :r].T
+            assert np.abs(a_hat - A).max() <= 1e-12 * np.abs(A).max()
+
+
 class TestFillIn:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(snapshot_series())
+    def test_gram_basis_matches_svd(self, case):
+        # U_k from the Gram's top-k eigenvectors against the SVD's, where
+        # sigma_{k-1} - sigma_k >= 1e-3 sigma_0 (0-based, padded with the
+        # Gram's zero eigenvalues): within 100 times the bound in fill_in's
+        # docstring, and within 1e-12 where the Gram's own gap
+        # sigma_{k-1}^2 - sigma_k^2 is at least 1e-3 sigma_0^2
+        X, _, k = case
+        U, sigma, _, _ = linalg.svd(X)
+        sigma = np.concatenate([sigma, np.zeros(X.shape[0])])
+        assume(sigma[k - 1] - sigma[k] >= 1e-3 * sigma[0])
+        U_k = dmd.fill_in(X, k)[0]
+        err = np.abs(U_k @ U_k.T - U[:, :k] @ U[:, :k].T).max()
+        gram_gap = sigma[k - 1] ** 2 - sigma[k] ** 2
+        assert err <= 100 * np.finfo(float).eps * sigma[0] ** 2 / gram_gap
+        if gram_gap >= 1e-3 * sigma[0] ** 2:
+            assert err <= 1e-12
+        # a column whose singular value is apart from the others: itself, to
+        # the same bound with its own gap
+        for j in range(k):
+            gaps = np.abs(np.delete(sigma, j) ** 2 - sigma[j] ** 2).min()
+            if gaps >= 1e-3 * sigma[0] ** 2:
+                bound = 100 * np.finfo(float).eps * sigma[0] ** 2 / gaps
+                assert phase_gap(U_k[:, j], U[:, j]) <= bound
+
+    @pytest.mark.parametrize("c", [2.0**600, 2.0**-600, 1e160, 1e-170])
+    def test_extreme_scales_keep_the_basis(self, c):
+        # the Gram squares the data's scale; fill_in rescales it by a power
+        # of 2 where it would overflow or underflow
+        X = np.random.default_rng(13).standard_normal((5, 60))
+        base = dmd.fill_in(X, 2)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U_k, coords = dmd.fill_in(c * X, 2)
+        assert np.abs(U_k - base).max() <= 1e-12
+        assert np.all(np.isfinite(coords))
+
     def test_matches_truncated_svd_reconstruction(self):
         rng = np.random.default_rng(7)
         for shape, k in (((6, 40), 2), ((40, 6), 3), ((30, 200), 5)):

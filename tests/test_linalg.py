@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -56,13 +58,19 @@ class TestSvd:
         assert np.array_equal(V1, V2)
 
 
+def left_svd(A):
+    """``(U, sigma, rank)`` of ``A`` from R of ``A.T = Q R``, as ``dmd_fits``
+    takes the left singular pairs of each snapshot matrix."""
+    return linalg._left_svd_of_r(linalg.qr_r(A.T), A.shape)
+
+
 class TestLeftSvd:
     def test_matches_thin_svd(self):
         rng = np.random.default_rng(5)
         for rows, cols in ((3, 50), (20, 400), (7, 4), (1, 9)):
             A = random_matrix(rng, rows, cols)
             U_full, sigma_full, _, rank_full = linalg.svd(A)
-            U, sigma, rank = linalg.left_svd(A)
+            U, sigma, rank = left_svd(A)
             assert rank == rank_full
             assert np.allclose(sigma, sigma_full, rtol=1e-12, atol=0)
             # distinct singular values: columns agree up to sign
@@ -71,8 +79,8 @@ class TestLeftSvd:
     def test_rank_cutoff(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 300))
-        assert linalg.left_svd(A)[2] == 2
-        assert linalg.left_svd(np.zeros((3, 8)))[2] == 0
+        assert left_svd(A)[2] == 2
+        assert left_svd(np.zeros((3, 8)))[2] == 0
 
     # TSQR blocks hold max(10p, 2**15 // p) rows of A.T; the shapes cover
     # one block, n = 10p - 1, 10p and 10p + 1 (a last block of one row),
@@ -87,7 +95,7 @@ class TestLeftSvd:
     def test_blocked_matches_svd(self, rows, cols):
         A = random_matrix(np.random.default_rng(rows * cols), rows, cols)
         U_full, sigma_full, _, rank_full = linalg.svd(A)
-        U, sigma, rank = linalg.left_svd(A)
+        U, sigma, rank = left_svd(A)
         assert rank == rank_full
         assert np.abs(sigma - sigma_full).max() <= 1e-12 * sigma_full[0]
         # distinct singular values: columns agree up to sign
@@ -98,7 +106,7 @@ class TestLeftSvd:
         rng = np.random.default_rng(cols)
         A = rng.standard_normal((60, 2)) @ rng.standard_normal((2, cols))
         U_full, sigma_full, _, rank_full = linalg.svd(A)
-        U, sigma, rank = linalg.left_svd(A)
+        U, sigma, rank = left_svd(A)
         assert rank == rank_full == 2
         assert np.abs(sigma - sigma_full).max() <= 1e-12 * sigma_full[0]
         assert np.allclose(np.abs(np.sum(U[:, :2] * U_full[:, :2], axis=0)), 1.0, atol=1e-10)
@@ -109,7 +117,7 @@ class TestLeftSvd:
         A = random_matrix(np.random.default_rng(cols), rows, cols)
         a = scipy.linalg.lapack.dgeqrt(min(linalg.QR_PANEL, *A.shape), A.T)[0]
         _, s, Ut = np.linalg.svd(np.triu(a[:rows]), full_matrices=False)
-        U, sigma, _ = linalg.left_svd(A)
+        U, sigma, _ = left_svd(A)
         assert np.array_equal(U, Ut.T)
         assert np.array_equal(sigma, s)
 
@@ -273,6 +281,96 @@ class TestEigNonsymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             linalg.eig_nonsymmetric(np.zeros((2, 3)))
+
+
+def phase_gap(v, u):
+    """``min over |c| = 1 of ||v - c u||`` for unit vectors."""
+    inner = np.vdot(u, v)
+    return np.linalg.norm(v - (inner / abs(inner)) * u) if inner != 0 else np.inf
+
+
+class TestEigNonsymmetricTopK:
+    """Top-k pairs by eigenvalues and inverse iteration, against ``dgeev``."""
+
+    def test_matches_full_eig_on_random_matrices(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            n = int(rng.integers(2, 41))
+            A = random_matrix(rng, n, n)
+            full = linalg.eig_nonsymmetric(A)
+            scale = 1.0 + np.linalg.norm(A, 2)
+            for k in sorted({1, int(rng.integers(1, n)), n - 1}):
+                top = linalg.eig_nonsymmetric(A, k)
+                assert top.values.shape == (k,) and top.vectors.shape == (n, k)
+                assert np.abs(top.values - full.values[:k]).max() <= 1e-12 * scale
+                residual = A @ top.vectors - top.vectors * top.values
+                assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * scale
+                for j in range(k):
+                    others = np.delete(full.values, j)
+                    if np.abs(others - full.values[j]).min() > 1e-3 * scale:
+                        assert phase_gap(top.vectors[:, j], full.vectors[:, j]) <= 1e-10
+
+    def test_conjugate_pair_shares_one_vector(self):
+        # eigenvalues 0.6 +- 0.8i, 0.5 and 0.2 behind a random similarity
+        rng = np.random.default_rng(11)
+        T = np.zeros((4, 4))
+        T[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+        T[2, 2], T[3, 3] = 0.5, 0.2
+        S = random_matrix(rng, 4, 4)
+        A = S @ T @ np.linalg.inv(S)
+        res = linalg.eig_nonsymmetric(A, 2)
+        assert np.allclose(res.values, [0.6 + 0.8j, 0.6 - 0.8j], atol=1e-12)
+        assert res.values[1] == np.conj(res.values[0])
+        assert np.array_equal(res.vectors[:, 1], np.conj(res.vectors[:, 0]))
+        residual = A @ res.vectors - res.vectors * res.values
+        assert np.abs(residual).max() <= 1e-12 * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_repeated_eigenvalue_spans_its_eigenspace(self, rotated):
+        # 3 is a double, non-defective eigenvalue with eigenspace
+        # span(e1, e2) of the upper triangular T; rotated, span(Q[:, :2])
+        T = np.array(
+            [
+                [3.0, 0.0, 1.0, 2.0],
+                [0.0, 3.0, -1.0, 1.0],
+                [0.0, 0.0, 1.0, 0.5],
+                [0.0, 0.0, 0.0, 0.5],
+            ]
+        )
+        Q = np.eye(4)
+        if rotated:
+            Q = np.linalg.qr(random_matrix(np.random.default_rng(12), 4, 4))[0]
+        A = Q @ T @ Q.T
+        res = linalg.eig_nonsymmetric(A, 2)
+        assert np.abs(res.values - 3.0).max() <= 1e-12
+        basis = Q[:, :2]
+        V = res.vectors
+        assert np.abs(V - basis @ (basis.T @ V)).max() <= 1e-12
+        assert np.linalg.svd(V, compute_uv=False).min() >= 0.99
+        assert np.abs(A @ V - 3.0 * V).max() <= 1e-12 * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize(
+        "A, k",
+        [
+            (np.diag([2.0, 1.0]), 1),
+            (np.diag([1.0, 0.0, 0.0]), 2),
+            (np.outer([1.0, 2.0, -1.0], [0.5, 1.0, 3.0]), 2),
+            (np.zeros((3, 3)), 1),
+        ],
+        ids=["diag-2-1", "zero-eigenvalue", "rank-one", "zero-matrix"],
+    )
+    def test_singular_shift_is_finite_without_warning(self, A, k):
+        # each kept shift makes A - lam I exactly singular: a zero pivot
+        # is raised to eps ||A||_1 instead of dividing by zero
+        full = linalg.eig_nonsymmetric(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = linalg.eig_nonsymmetric(A, k)
+        assert np.all(np.isfinite(res.vectors))
+        assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0)
+        assert np.abs(res.values - full.values[:k]).max() <= 1e-14 * (1.0 + np.abs(A).max())
+        residual = A @ res.vectors - res.vectors * res.values
+        assert np.abs(residual).max() <= 1e-14 * (1.0 + np.abs(A).max())
 
 
 def phase_fix_per_column(vectors):
